@@ -254,8 +254,8 @@ void bench_assembly(bench::BenchOutput& out, const CliArgs& args) {
 
 /// Full direct-mode RD per-iteration host time: assembly + Dirichlet +
 /// ILU0 + CG, the paper's workhorse, at p ranks with `axis` cells per rank
-/// axis. The simulated ranks are threads, so host wall time measures the
-/// total host work of one step regardless of core count.
+/// axis: host wall time of one step, the simulated ranks running as fibers
+/// on min(p, CPUs) host threads.
 double rd_step_host_s(int ranks, int axis, int steps) {
   const int per_axis = static_cast<int>(std::lround(std::cbrt(ranks)));
   apps::RdConfig config;

@@ -15,11 +15,12 @@
 ///     runner seed computes repeated points once (the broker re-evaluating
 ///     objectives, fig4/fig6 sharing a sweep, ablations re-running their
 ///     baselines);
-///   * a thread budget caps *in-flight simulated threads*, not just jobs: a
-///     direct-mode experiment spawns one host thread per simulated rank, so
-///     it weighs `ranks` against the budget while a modeled experiment
-///     weighs 1. Experiments with trace/metrics side effects run exclusively
-///     (the trace recorder installation is process-global).
+///   * a thread budget caps *in-flight simulated ranks*, not just jobs: a
+///     direct-mode experiment runs its ranks as fibers on min(ranks, CPUs)
+///     host threads, so it weighs `ranks` (an upper bound on its threads)
+///     against the budget while a modeled experiment weighs 1. Experiments
+///     with trace/metrics side effects run exclusively (the trace recorder
+///     installation is process-global).
 ///
 /// Instrumented with hetero::obs metrics (queue depth, cache hit/miss
 /// counters, per-job latency histogram) and host-time trace instants per

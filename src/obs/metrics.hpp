@@ -36,7 +36,7 @@ inline std::atomic<bool> g_metrics_enabled{true};
 
 constexpr std::size_t kShards = 16;
 
-/// One cache line per shard so rank threads never false-share.
+/// One cache line per shard so host threads never false-share.
 struct alignas(64) Shard {
   std::atomic<double> value{0.0};
 };

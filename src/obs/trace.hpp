@@ -15,9 +15,9 @@
 /// `nullptr` and lets the compiler delete the instrumentation entirely.
 ///
 /// Threading contract: each rank writes only its own buffer (the rank id is
-/// bound per thread by `simmpi::Runtime::run`, or explicitly via
-/// `bind_trace_rank`), so recording needs no locks. Export runs after the
-/// writer threads have joined.
+/// bound per thread, by `simmpi::Runtime::run` on every switch to a rank's
+/// fiber, or explicitly via `bind_trace_rank`), so recording needs no
+/// locks. Export runs after the writers have finished.
 ///
 /// Event names and categories must be string literals (or otherwise outlive
 /// the recorder): the ring buffer stores the pointers, not copies.
@@ -62,7 +62,7 @@ class TraceRecorder {
                const char* arg_name = nullptr, double arg = 0.0);
 
   /// Events recorded on `rank` (oldest first); ring overwrites drop the
-  /// oldest. Reader-side only — do not call while rank threads record.
+  /// oldest. Reader-side only — do not call while ranks record.
   std::vector<TraceEvent> events(int rank) const;
 
   /// All ranks merged, sorted by (ts, rank). Stable across runs because the
@@ -117,7 +117,9 @@ inline TraceRecorder* current_trace() {
 }
 
 /// Binds the calling thread to a rank row. simmpi::Runtime::run does this
-/// for every rank thread; host-side code records on the default row 0.
+/// whenever a host thread switches to a rank's fiber, and gives the caller
+/// its row back when it returns; host-side code records on the default
+/// row 0.
 inline void bind_trace_rank(int rank) { detail::t_trace_rank = rank; }
 inline int bound_trace_rank() { return detail::t_trace_rank; }
 

@@ -174,7 +174,7 @@ void Comm::finish_collective(double exit_time, const char* name,
 void Comm::barrier() {
   const double cost = netsim::barrier_time(topology());
   double exit_time = 0.0;
-  run_collective({}, nullptr, cost, &exit_time);
+  run_collective("barrier", {}, nullptr, cost, &exit_time);
   finish_collective(exit_time, "barrier");
 }
 
@@ -187,7 +187,7 @@ std::vector<std::byte> Comm::bcast_bytes(std::vector<std::byte> input,
       rank() == root ? netsim::bcast_time(topology(), input.size()) : 0.0;
   double exit_time = 0.0;
   auto result = run_collective(
-      std::move(input),
+      "bcast", std::move(input),
       [root](const std::vector<std::vector<std::byte>>& inputs) {
         return inputs[static_cast<std::size_t>(root)];
       },
@@ -229,7 +229,7 @@ std::vector<std::byte> Comm::reduce_like(std::span<const std::byte> input,
   std::vector<std::byte> in(input.begin(), input.end());
   double exit_time = 0.0;
   auto result = run_collective(
-      std::move(in),
+      "allreduce", std::move(in),
       [op, is_double](const std::vector<std::vector<std::byte>>& inputs) {
         return is_double ? combine_reduce<double>(inputs, op)
                          : combine_reduce<std::int64_t>(inputs, op);
@@ -246,7 +246,7 @@ std::vector<std::byte> Comm::allgatherv_bytes(std::vector<std::byte> input,
       topology(), std::max<std::uint64_t>(input.size(), element_size));
   double exit_time = 0.0;
   auto result = run_collective(
-      std::move(input),
+      "allgatherv", std::move(input),
       [](const std::vector<std::vector<std::byte>>& inputs) {
         std::size_t total = 0;
         for (const auto& in : inputs) {
@@ -273,7 +273,7 @@ std::vector<std::byte> Comm::gatherv_bytes(std::vector<std::byte> input,
       topology(), std::max<std::uint64_t>(input.size(), element_size));
   double exit_time = 0.0;
   auto result = run_collective_personalized(
-      std::move(input),
+      "gatherv", std::move(input),
       [root, p = size()](const std::vector<std::vector<std::byte>>& inputs) {
         std::vector<std::vector<std::byte>> out(static_cast<std::size_t>(p));
         std::size_t total = 0;
@@ -314,7 +314,7 @@ std::vector<std::byte> Comm::scatterv_bytes(
   const int p = size();
   double exit_time = 0.0;
   auto mine = run_collective_personalized(
-      std::move(flat),
+      "scatterv", std::move(flat),
       [root, p](const std::vector<std::vector<std::byte>>& inputs) {
         const auto& in = inputs[static_cast<std::size_t>(root)];
         std::vector<std::vector<std::byte>> out(static_cast<std::size_t>(p));
@@ -359,7 +359,7 @@ std::vector<std::vector<std::byte>> Comm::alltoallv_bytes(
   const double cost = netsim::alltoall_time(topology(), avg_bytes);
   double exit_time = 0.0;
   auto mine = run_collective_personalized(
-      std::move(flat),
+      "alltoallv", std::move(flat),
       [p](const std::vector<std::vector<std::byte>>& inputs) {
         // For every destination, extract from every source the block
         // addressed to it, concatenated with the same framing.

@@ -310,28 +310,20 @@ class Comm {
     return group_ == 0 ? r : members_[static_cast<std::size_t>(r)];
   }
 
-  /// Group-aware shared collective.
-  std::vector<std::byte> run_collective(std::vector<std::byte> input,
+  /// The rendezvous of this communicator (see Runtime::collective).
+  std::vector<std::byte> run_collective(const char* name,
+                                        std::vector<std::byte> input,
                                         const Runtime::CombineFn& combine,
                                         double cost, double* exit_time) {
-    if (group_ == 0) {
-      return runtime_->collective(rank_, std::move(input), combine, cost,
-                                  now(), exit_time);
-    }
-    return runtime_->group_collective(group_, group_rank_, std::move(input),
-                                      combine, cost, now(), exit_time);
+    return runtime_->collective(name, group_, rank(), std::move(input),
+                                combine, nullptr, cost, now(), exit_time);
   }
   std::vector<std::byte> run_collective_personalized(
-      std::vector<std::byte> input, const Runtime::CombinePerRankFn& combine,
-      double cost, double* exit_time) {
-    if (group_ == 0) {
-      return runtime_->collective_personalized(rank_, std::move(input),
-                                               combine, cost, now(),
-                                               exit_time);
-    }
-    return runtime_->group_collective_personalized(
-        group_, group_rank_, std::move(input), combine, cost, now(),
-        exit_time);
+      const char* name, std::vector<std::byte> input,
+      const Runtime::CombinePerRankFn& per_rank, double cost,
+      double* exit_time) {
+    return runtime_->collective(name, group_, rank(), std::move(input),
+                                nullptr, &per_rank, cost, now(), exit_time);
   }
 
   Runtime* runtime_;

@@ -1,19 +1,204 @@
 #include "simmpi/runtime.hpp"
 
-#include <exception>
+#include <pthread.h>
+#include <sched.h>
+#include <sys/mman.h>
+#include <ucontext.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <condition_variable>
+#include <cstring>
+#include <string>
 #include <thread>
 
 #include "obs/trace.hpp"
 #include "simmpi/comm.hpp"
 
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#include <sanitizer/common_interface_defs.h>
+#define HETERO_FIBER_ASAN 1
+#endif
+#if defined(__SANITIZE_THREAD__)
+#include <sanitizer/tsan_interface.h>
+#define HETERO_FIBER_TSAN 1
+#endif
+
 namespace hetero::simmpi {
+
+namespace {
+
+constexpr std::uint64_t kOneRunnable = 1;
+constexpr std::uint64_t kOneLive = std::uint64_t{1} << 32;
+constexpr std::uint64_t kRunnableMask = kOneLive - 1;
+
+std::size_t page_bytes() {
+  static const std::size_t bytes =
+      static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+  return bytes;
+}
+
+/// Stack size of a default-constructed std::thread, which a fiber replaces.
+std::size_t thread_stack_bytes() {
+  static const std::size_t bytes = [] {
+    std::size_t size = 0;
+    pthread_attr_t attr;
+    if (::pthread_getattr_default_np(&attr) == 0) {
+      ::pthread_attr_getstacksize(&attr, &size);
+      ::pthread_attr_destroy(&attr);
+    }
+    if (size == 0) {
+      size = std::size_t{8} << 20;
+    }
+    const std::size_t page = page_bytes();
+    return (size + page - 1) / page * page;
+  }();
+  return bytes;
+}
+
+/// min(ranks, CPUs the calling thread may run on).
+int host_threads_for(int ranks) {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  int cpus = 1;
+  if (::sched_getaffinity(0, sizeof(set), &set) == 0) {
+    cpus = std::max(1, CPU_COUNT(&set));
+  }
+  return std::max(1, std::min(ranks, cpus));
+}
+
+/// Sanitizer view of one execution context: a fiber, or a host thread's
+/// own stack. Sanitizers cannot tell which stack swapcontext moves to, so
+/// every switch is announced to them.
+struct SwitchState {
+  const void* stack_bottom = nullptr;  // ASan: lowest address
+  std::size_t stack_size = 0;
+  void* fake_stack = nullptr;  // ASan: saved while switched out
+  void* tsan_fiber = nullptr;
+};
+
+/// Announces a switch to `to`; `from_fake_stack` is null when the current
+/// context never resumes.
+void start_switch([[maybe_unused]] void** from_fake_stack,
+                  [[maybe_unused]] const SwitchState& to) {
+#ifdef HETERO_FIBER_ASAN
+  __sanitizer_start_switch_fiber(from_fake_stack, to.stack_bottom,
+                                 to.stack_size);
+#endif
+#ifdef HETERO_FIBER_TSAN
+  __tsan_switch_to_fiber(to.tsan_fiber, 0);
+#endif
+}
+
+/// Completes a switch into `self`; records the stack it came from in
+/// `from` when given.
+void finish_switch([[maybe_unused]] SwitchState& self,
+                   [[maybe_unused]] SwitchState* from) {
+#ifdef HETERO_FIBER_ASAN
+  __sanitizer_finish_switch_fiber(
+      self.fake_stack, from != nullptr ? &from->stack_bottom : nullptr,
+      from != nullptr ? &from->stack_size : nullptr);
+#endif
+}
+
+}  // namespace
+
+/// One host thread: runs its block of fibers until all have finished.
+struct Runtime::HostThread {
+  /// The scheduler loop's context, which fibers switch back to.
+  ucontext_t context{};
+  SwitchState sanitizer;
+  /// Ready fibers woken by this thread's own fibers; touched only here.
+  std::deque<Fiber*> ready;
+  /// Ready fibers woken from other host threads.
+  std::mutex mutex;
+  std::condition_variable cv;
+  std::vector<Fiber*> inbox;
+  /// Unfinished fibers of this thread.
+  int live = 0;
+};
+
+struct Runtime::Fiber {
+  Fiber(Runtime& owner, int world_rank, HostThread& home)
+      : runtime(&owner), rank(world_rank), host(&home) {
+    const std::size_t guard = page_bytes();
+    const std::size_t stack = thread_stack_bytes();
+    // Lazily committed: pages cost memory only once the rank touches them.
+    mapping_bytes = guard + stack;
+    mapping = ::mmap(nullptr, mapping_bytes, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE | MAP_STACK,
+                     -1, 0);
+    HETERO_REQUIRE(mapping != MAP_FAILED,
+                   "simmpi: cannot map a rank stack of " +
+                       std::to_string(stack) + " bytes");
+    // Guard page below the stack: an overflow faults instead of silently
+    // writing into the neighbouring mapping.
+    HETERO_REQUIRE(::mprotect(mapping, guard, PROT_NONE) == 0,
+                   "simmpi: cannot protect a rank stack guard page");
+    char* bottom = static_cast<char*>(mapping) + guard;
+    sanitizer.stack_bottom = bottom;
+    sanitizer.stack_size = stack;
+#ifdef HETERO_FIBER_TSAN
+    sanitizer.tsan_fiber = __tsan_create_fiber(0);
+#endif
+    HETERO_REQUIRE(::getcontext(&context) == 0, "simmpi: getcontext failed");
+    context.uc_stack.ss_sp = bottom;
+    context.uc_stack.ss_size = stack;
+    context.uc_link = nullptr;
+    const auto self = reinterpret_cast<std::uintptr_t>(this);
+    ::makecontext(&context, reinterpret_cast<void (*)()>(&Fiber::entry), 2,
+                  static_cast<unsigned>(self >> 32),
+                  static_cast<unsigned>(self & 0xffffffffu));
+  }
+
+  ~Fiber() {
+#ifdef HETERO_FIBER_ASAN
+    // A finished fiber leaves its last frames poisoned; whatever maps this
+    // range next must start clean.
+    __asan_unpoison_memory_region(sanitizer.stack_bottom,
+                                  sanitizer.stack_size);
+#endif
+#ifdef HETERO_FIBER_TSAN
+    __tsan_destroy_fiber(sanitizer.tsan_fiber);
+#endif
+    ::munmap(mapping, mapping_bytes);
+  }
+
+  Fiber(const Fiber&) = delete;
+  Fiber& operator=(const Fiber&) = delete;
+
+  /// makecontext passes int-sized arguments, so `this` arrives in halves.
+  static void entry(unsigned hi, unsigned lo) {
+    auto* self = reinterpret_cast<Fiber*>(
+        (static_cast<std::uintptr_t>(hi) << 32) | lo);
+    self->runtime->fiber_main(*self);
+  }
+
+  /// Switches back to the host's scheduler loop; returns when resumed.
+  void yield() {
+    start_switch(&sanitizer.fake_stack, host->sanitizer);
+    ::swapcontext(&context, &host->context);
+    finish_switch(sanitizer, &host->sanitizer);
+  }
+
+  Runtime* runtime;
+  int rank;
+  HostThread* host;
+  ucontext_t context{};
+  void* mapping = nullptr;
+  std::size_t mapping_bytes = 0;
+  SwitchState sanitizer;
+  /// Guarded by the lock of the mailbox or rendezvous the fiber parks on.
+  Wait wait;
+  bool done = false;
+};
 
 Runtime::Runtime(netsim::Topology topology)
     : topology_(std::move(topology)),
       mailboxes_(static_cast<std::size_t>(topology_.ranks())),
       clocks_(static_cast<std::size_t>(topology_.ranks())),
-      stats_(static_cast<std::size_t>(topology_.ranks())),
-      coll_inputs_(static_cast<std::size_t>(topology_.ranks())) {}
+      stats_(static_cast<std::size_t>(topology_.ranks())) {}
 
 Runtime::~Runtime() = default;
 
@@ -25,40 +210,195 @@ void Runtime::run(const std::function<void(Comm&)>& rank_main) {
     stats_[static_cast<std::size_t>(r)].bytes_by_dest.assign(
         static_cast<std::size_t>(p), 0);
     mailboxes_[static_cast<std::size_t>(r)].queue.clear();
+    mailboxes_[static_cast<std::size_t>(r)].waiters.clear();
   }
   aborted_.store(false);
-  coll_arrived_ = 0;
-  coll_generation_ = 0;
+  first_error_ = nullptr;
   groups_.clear();
-
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<std::size_t>(p));
-  std::mutex error_mutex;
-  std::exception_ptr first_error;
-
+  GroupState& world = groups_[0];
+  world.members.resize(static_cast<std::size_t>(p));
   for (int r = 0; r < p; ++r) {
-    threads.emplace_back([&, r] {
-      // Each rank thread records trace events on its own row.
-      obs::bind_trace_rank(r);
-      Comm comm(*this, r);
-      try {
-        rank_main(comm);
-      } catch (...) {
-        {
-          std::lock_guard<std::mutex> lock(error_mutex);
-          if (!first_error) {
-            first_error = std::current_exception();
-          }
-        }
-        abort_all();
-      }
-    });
+    world.members[static_cast<std::size_t>(r)] = r;
   }
+  world.inputs.resize(static_cast<std::size_t>(p));
+
+  // Host thread h owns ranks [h * p / k, (h + 1) * p / k).
+  const int k = host_threads_for(p);
+  fibers_.clear();
+  hosts_.clear();
+  for (int h = 0; h < k; ++h) {
+    hosts_.push_back(std::make_unique<HostThread>());
+    HostThread& host = *hosts_.back();
+    for (int r = h * p / k; r < (h + 1) * p / k; ++r) {
+      fibers_.push_back(std::make_unique<Fiber>(*this, r, host));
+      host.ready.push_back(fibers_.back().get());
+      ++host.live;
+    }
+  }
+  census_.store(static_cast<std::uint64_t>(p) * (kOneLive + kOneRunnable));
+  rank_main_ = &rank_main;
+
+  // Fibers rebind the thread's trace row on every switch-in; host-side
+  // code keeps recording on the caller's row once run() returns.
+  const int caller_row = obs::bound_trace_rank();
+  std::vector<std::thread> threads;
+  threads.reserve(static_cast<std::size_t>(k - 1));
+  for (int h = 1; h < k; ++h) {
+    threads.emplace_back([this, h] { host_loop(*hosts_[h]); });
+  }
+  host_loop(*hosts_[0]);
   for (auto& t : threads) {
     t.join();
   }
-  if (first_error) {
-    std::rethrow_exception(first_error);
+  obs::bind_trace_rank(caller_row);
+  fibers_.clear();
+  rank_main_ = nullptr;
+  if (first_error_) {
+    std::rethrow_exception(first_error_);
+  }
+}
+
+void Runtime::host_loop(HostThread& host) {
+#ifdef HETERO_FIBER_TSAN
+  host.sanitizer.tsan_fiber = __tsan_get_current_fiber();
+#endif
+  for (;;) {
+    if (host.ready.empty()) {
+      std::unique_lock<std::mutex> lock(host.mutex);
+      host.cv.wait(lock, [&] { return !host.inbox.empty() || host.live == 0; });
+      if (host.live == 0) {
+        return;
+      }
+      host.ready.insert(host.ready.end(), host.inbox.begin(),
+                        host.inbox.end());
+      host.inbox.clear();
+    }
+    Fiber& fiber = *host.ready.front();
+    host.ready.pop_front();
+    obs::bind_trace_rank(fiber.rank);
+    start_switch(&host.sanitizer.fake_stack, fiber.sanitizer);
+    ::swapcontext(&host.context, &fiber.context);
+    finish_switch(host.sanitizer, nullptr);
+    if (fiber.done) {
+      --host.live;
+    }
+  }
+}
+
+void Runtime::fiber_main(Fiber& self) {
+  finish_switch(self.sanitizer, &self.host->sanitizer);
+  {
+    Comm comm(*this, self.rank);
+    try {
+      (*rank_main_)(comm);
+    } catch (...) {
+      record_error(std::current_exception());
+      abort_all(*self.host);
+    }
+  }
+  self.done = true;
+  const std::uint64_t before =
+      census_.fetch_sub(kOneLive + kOneRunnable, std::memory_order_acq_rel);
+  if ((before & kRunnableMask) == 1 && (before >> 32) > 1) {
+    report_deadlock(*self.host);
+  }
+  start_switch(nullptr, self.host->sanitizer);
+  ::setcontext(&self.host->context);
+}
+
+void Runtime::park(Fiber& self, std::unique_lock<std::mutex>& lock,
+                   std::vector<Fiber*>& waiters, const Wait& wait) {
+  // C++ exception state is per OS thread; a fiber that switched out while
+  // unwinding would hand its in-flight exception to the next fiber.
+  HETERO_CHECK(std::uncaught_exceptions() == 0);
+  self.wait = wait;
+  waiters.push_back(&self);
+  lock.unlock();
+  const std::uint64_t before =
+      census_.fetch_sub(kOneRunnable, std::memory_order_acq_rel);
+  if ((before & kRunnableMask) == 1) {
+    report_deadlock(*self.host);  // wakes `self` too, through abort_all
+  }
+  self.yield();
+  lock.lock();
+}
+
+void Runtime::wake_all(std::vector<Fiber*>& waiters, HostThread& waker) {
+  for (Fiber* fiber : waiters) {
+    make_ready(*fiber, waker);
+  }
+  waiters.clear();
+}
+
+void Runtime::make_ready(Fiber& fiber, HostThread& waker) {
+  fiber.wait = Wait{};
+  census_.fetch_add(kOneRunnable, std::memory_order_acq_rel);
+  HostThread& host = *fiber.host;
+  if (&host == &waker) {
+    host.ready.push_back(&fiber);
+    return;
+  }
+  {
+    std::lock_guard<std::mutex> lock(host.mutex);
+    host.inbox.push_back(&fiber);
+  }
+  host.cv.notify_one();
+}
+
+void Runtime::report_deadlock(HostThread& waker) {
+  // No fiber runs, so none can wake another: every unfinished one is
+  // parked for good. Describe each, folding runs of equal descriptions.
+  std::vector<std::string> what(fibers_.size());
+  {
+    std::lock_guard<std::mutex> lock(coll_mutex_);
+    for (std::size_t r = 0; r < fibers_.size(); ++r) {
+      const Wait& w = fibers_[r]->wait;
+      if (w.op == nullptr) {
+        continue;
+      }
+      const bool recv = std::strcmp(w.op, "recv") == 0;
+      std::string& s = what[r];
+      s = w.op;
+      if (recv) {
+        s += "(source " + std::to_string(w.source) + ", tag " +
+             std::to_string(w.tag) + ")";
+      }
+      if (w.group != 0) {
+        s += " on a split communicator";
+      }
+      if (!recv) {
+        const GroupState& g = groups_.at(w.group);
+        s += " (" + std::to_string(g.arrived) + " of " +
+             std::to_string(g.members.size()) + " ranks arrived)";
+      }
+    }
+  }
+  std::string message =
+      "simmpi: deadlock — every unfinished rank is blocked and none can "
+      "release another:";
+  for (std::size_t r = 0; r < what.size();) {
+    std::size_t end = r + 1;
+    while (end < what.size() && what[end] == what[r]) {
+      ++end;
+    }
+    if (!what[r].empty()) {
+      message += end - r == 1
+                     ? " rank " + std::to_string(r)
+                     : " ranks " + std::to_string(r) + "-" +
+                           std::to_string(end - 1);
+      message += (end - r == 1 ? " waits in " : " wait in ") + what[r] + ";";
+    }
+    r = end;
+  }
+  message.pop_back();
+  record_error(std::make_exception_ptr(Error(message)));
+  abort_all(waker);
+}
+
+void Runtime::record_error(std::exception_ptr error) {
+  std::lock_guard<std::mutex> lock(error_mutex_);
+  if (!first_error_) {
+    first_error_ = std::move(error);
   }
 }
 
@@ -79,19 +419,21 @@ void Runtime::post_send(int source, int dest, int tag, std::uint64_t group,
                         std::vector<std::byte> payload, double depart_time) {
   HETERO_REQUIRE(dest >= 0 && dest < size(), "send: destination out of range");
   auto& box = mailboxes_[static_cast<std::size_t>(dest)];
-  {
-    std::lock_guard<std::mutex> lock(box.mutex);
-    box.queue.push_back(
-        Envelope{source, tag, group, std::move(payload), depart_time});
+  std::lock_guard<std::mutex> lock(box.mutex);
+  box.queue.push_back(
+      Envelope{source, tag, group, std::move(payload), depart_time});
+  if (!box.waiters.empty()) {
+    const Wait& want = box.waiters.front()->wait;
+    if (want.source == source && want.tag == tag && want.group == group) {
+      wake_all(box.waiters, *fibers_[static_cast<std::size_t>(source)]->host);
+    }
   }
-  box.cv.notify_all();
 }
 
 Runtime::Envelope Runtime::blocking_recv(int self, int source, int tag,
                                          std::uint64_t group) {
   HETERO_REQUIRE(source >= 0 && source < size(), "recv: source out of range");
   auto& box = mailboxes_[static_cast<std::size_t>(self)];
-  const auto start = std::chrono::steady_clock::now();
   std::unique_lock<std::mutex> lock(box.mutex);
   for (;;) {
     check_abort();
@@ -102,24 +444,8 @@ Runtime::Envelope Runtime::blocking_recv(int self, int source, int tag,
         return env;
       }
     }
-    if (recv_timeout_s_ > 0.0) {
-      const double waited =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        start)
-              .count();
-      if (waited > recv_timeout_s_) {
-        // A matching message never arrived: almost certainly a deadlocked
-        // or mismatched communication pattern. Fail loudly instead of
-        // hanging the host process.
-        abort_all();
-        throw Error("simmpi: rank " + std::to_string(self) +
-                    " waited " + std::to_string(waited) +
-                    " s for a message from rank " + std::to_string(source) +
-                    " (tag " + std::to_string(tag) +
-                    ") — deadlock or mismatched send/recv pattern");
-      }
-    }
-    box.cv.wait_for(lock, std::chrono::milliseconds(50));
+    park(*fibers_[static_cast<std::size_t>(self)], lock, box.waiters,
+         Wait{"recv", source, tag, group});
   }
 }
 
@@ -158,15 +484,18 @@ const Runtime::GroupState& Runtime::group(std::uint64_t id) {
   return it->second;
 }
 
-std::vector<std::byte> Runtime::group_collective(
-    std::uint64_t group_id, int member_index, std::vector<std::byte> input,
-    const CombineFn& combine, double cost_seconds, double entry_time,
+std::vector<std::byte> Runtime::collective(
+    const char* name, std::uint64_t group_id, int member_index,
+    std::vector<std::byte> input, const CombineFn& combine,
+    const CombinePerRankFn* per_rank, double cost_seconds, double entry_time,
     double* exit_time) {
   std::unique_lock<std::mutex> lock(coll_mutex_);
   check_abort();
   auto it = groups_.find(group_id);
   HETERO_REQUIRE(it != groups_.end(), "unknown communicator group");
   GroupState& g = it->second;
+  Fiber& self = *fibers_[static_cast<std::size_t>(
+      g.members[static_cast<std::size_t>(member_index)])];
   const std::uint64_t my_generation = g.generation;
   g.inputs[static_cast<std::size_t>(member_index)] = std::move(input);
   g.max_entry = (g.arrived == 0) ? entry_time
@@ -174,147 +503,44 @@ std::vector<std::byte> Runtime::group_collective(
   g.cost = (g.arrived == 0) ? cost_seconds : std::max(g.cost, cost_seconds);
   ++g.arrived;
   if (g.arrived == static_cast<int>(g.members.size())) {
-    g.personalized = false;
-    g.result = combine ? combine(g.inputs) : std::vector<std::byte>{};
-    g.exit = g.max_entry + g.cost * degradation_.factor_at(g.max_entry);
-    g.arrived = 0;
-    ++g.generation;
-    for (auto& in : g.inputs) {
-      in.clear();
-    }
-    coll_cv_.notify_all();
-  } else {
-    coll_cv_.wait(lock, [&] {
-      return g.generation != my_generation || aborted_.load();
-    });
-    check_abort();
-  }
-  *exit_time = g.exit;
-  return g.result;
-}
-
-std::vector<std::byte> Runtime::group_collective_personalized(
-    std::uint64_t group_id, int member_index, std::vector<std::byte> input,
-    const CombinePerRankFn& combine, double cost_seconds, double entry_time,
-    double* exit_time) {
-  std::unique_lock<std::mutex> lock(coll_mutex_);
-  check_abort();
-  auto it = groups_.find(group_id);
-  HETERO_REQUIRE(it != groups_.end(), "unknown communicator group");
-  GroupState& g = it->second;
-  const std::uint64_t my_generation = g.generation;
-  g.inputs[static_cast<std::size_t>(member_index)] = std::move(input);
-  g.max_entry = (g.arrived == 0) ? entry_time
-                                 : std::max(g.max_entry, entry_time);
-  g.cost = (g.arrived == 0) ? cost_seconds : std::max(g.cost, cost_seconds);
-  ++g.arrived;
-  if (g.arrived == static_cast<int>(g.members.size())) {
-    g.personalized = true;
-    g.results_per_rank = combine(g.inputs);
-    HETERO_CHECK(g.results_per_rank.size() == g.members.size());
-    g.exit = g.max_entry + g.cost * degradation_.factor_at(g.max_entry);
-    g.arrived = 0;
-    ++g.generation;
-    for (auto& in : g.inputs) {
-      in.clear();
-    }
-    coll_cv_.notify_all();
-  } else {
-    coll_cv_.wait(lock, [&] {
-      return g.generation != my_generation || aborted_.load();
-    });
-    check_abort();
-  }
-  HETERO_CHECK(g.personalized);
-  *exit_time = g.exit;
-  return g.results_per_rank[static_cast<std::size_t>(member_index)];
-}
-
-namespace {
-/// Runs the shared rendezvous: returns true on the rank that arrived last
-/// (which must fill the result slots before others read them).
-}  // namespace
-
-std::vector<std::byte> Runtime::collective(int rank,
-                                           std::vector<std::byte> input,
-                                           const CombineFn& combine,
-                                           double cost_seconds,
-                                           double entry_time,
-                                           double* exit_time) {
-  std::unique_lock<std::mutex> lock(coll_mutex_);
-  check_abort();
-  const std::uint64_t my_generation = coll_generation_;
-  coll_inputs_[static_cast<std::size_t>(rank)] = std::move(input);
-  coll_max_entry_ = (coll_arrived_ == 0)
-                        ? entry_time
-                        : std::max(coll_max_entry_, entry_time);
-  coll_cost_ = (coll_arrived_ == 0) ? cost_seconds
-                                    : std::max(coll_cost_, cost_seconds);
-  ++coll_arrived_;
-  if (coll_arrived_ == size()) {
     // Last arrival performs the combine and releases everyone.
-    coll_personalized_ = false;
-    coll_result_ = combine ? combine(coll_inputs_) : std::vector<std::byte>{};
-    coll_exit_ =
-        coll_max_entry_ + coll_cost_ * degradation_.factor_at(coll_max_entry_);
-    coll_arrived_ = 0;
-    ++coll_generation_;
-    for (auto& in : coll_inputs_) {
+    g.personalized = per_rank != nullptr;
+    if (g.personalized) {
+      g.results_per_rank = (*per_rank)(g.inputs);
+      HETERO_CHECK(g.results_per_rank.size() == g.members.size());
+    } else {
+      g.result = combine ? combine(g.inputs) : std::vector<std::byte>{};
+    }
+    g.exit = g.max_entry + g.cost * degradation_.factor_at(g.max_entry);
+    g.arrived = 0;
+    ++g.generation;
+    for (auto& in : g.inputs) {
       in.clear();
     }
-    coll_cv_.notify_all();
+    wake_all(g.waiters, *self.host);
   } else {
-    coll_cv_.wait(lock, [&] {
-      return coll_generation_ != my_generation || aborted_.load();
-    });
-    check_abort();
-  }
-  *exit_time = coll_exit_;
-  return coll_result_;
-}
-
-std::vector<std::byte> Runtime::collective_personalized(
-    int rank, std::vector<std::byte> input, const CombinePerRankFn& combine,
-    double cost_seconds, double entry_time, double* exit_time) {
-  std::unique_lock<std::mutex> lock(coll_mutex_);
-  check_abort();
-  const std::uint64_t my_generation = coll_generation_;
-  coll_inputs_[static_cast<std::size_t>(rank)] = std::move(input);
-  coll_max_entry_ = (coll_arrived_ == 0)
-                        ? entry_time
-                        : std::max(coll_max_entry_, entry_time);
-  coll_cost_ = (coll_arrived_ == 0) ? cost_seconds
-                                    : std::max(coll_cost_, cost_seconds);
-  ++coll_arrived_;
-  if (coll_arrived_ == size()) {
-    coll_personalized_ = true;
-    coll_results_per_rank_ = combine(coll_inputs_);
-    HETERO_CHECK(static_cast<int>(coll_results_per_rank_.size()) == size());
-    coll_exit_ =
-        coll_max_entry_ + coll_cost_ * degradation_.factor_at(coll_max_entry_);
-    coll_arrived_ = 0;
-    ++coll_generation_;
-    for (auto& in : coll_inputs_) {
-      in.clear();
+    while (g.generation == my_generation) {
+      park(self, lock, g.waiters, Wait{name, 0, 0, group_id});
+      check_abort();
     }
-    coll_cv_.notify_all();
-  } else {
-    coll_cv_.wait(lock, [&] {
-      return coll_generation_ != my_generation || aborted_.load();
-    });
-    check_abort();
   }
-  HETERO_CHECK(coll_personalized_);
-  *exit_time = coll_exit_;
-  return coll_results_per_rank_[static_cast<std::size_t>(rank)];
+  HETERO_CHECK(g.personalized == (per_rank != nullptr));
+  *exit_time = g.exit;
+  return g.personalized
+             ? g.results_per_rank[static_cast<std::size_t>(member_index)]
+             : g.result;
 }
 
-void Runtime::abort_all() {
+void Runtime::abort_all(HostThread& waker) {
   aborted_.store(true);
   for (auto& box : mailboxes_) {
-    box.cv.notify_all();
+    std::lock_guard<std::mutex> lock(box.mutex);
+    wake_all(box.waiters, waker);
   }
-  coll_cv_.notify_all();
+  std::lock_guard<std::mutex> lock(coll_mutex_);
+  for (auto& [id, g] : groups_) {
+    wake_all(g.waiters, waker);
+  }
 }
 
 void Runtime::check_abort() const {

@@ -3,12 +3,13 @@
 /// \file runtime.hpp
 /// The simulated message-passing runtime.
 ///
-/// `Runtime` executes N ranks as host threads inside one process. Messages
-/// are moved through in-memory mailboxes (so the numerics are exactly what a
-/// real MPI job would compute) while a netsim `Topology` prices every
-/// transfer and collective into per-rank virtual clocks. This replaces the
-/// paper's physical clusters: the applications run the real message-passing
-/// code path; only *time* is modeled.
+/// `Runtime` executes N ranks inside one process: ranks run as fibers on
+/// min(ranks, CPUs) host threads, where CPUs counts the calling thread's
+/// affinity mask. Messages are moved through in-memory mailboxes (so the
+/// numerics are exactly what a real MPI job would compute) while a netsim
+/// `Topology` prices every transfer and collective into per-rank virtual
+/// clocks. This replaces the paper's physical clusters: the applications
+/// run the real message-passing code path; only *time* is modeled.
 ///
 /// Semantics implemented (deliberately the subset the applications and
 /// substrates use, with MPI-compatible behaviour):
@@ -18,13 +19,26 @@
 ///     (source, tag) pair;
 ///   * collectives are synchronizing: all clocks merge to
 ///     max(entry clocks) + modeled collective cost.
+///
+/// Scheduling is cooperative, run-until-blocked: each host thread owns a
+/// contiguous block of ranks and runs one of them until it blocks in a
+/// receive or a collective, then switches to the next ready one. Nothing
+/// the ranks compute depends on that order. Because a fiber parks only
+/// when it waits on another rank, a run whose ranks are all parked is
+/// certainly deadlocked; `run()` then fails at once with an error naming
+/// every blocked rank and what it waits for.
+///
+/// Rank bodies must not block the host thread by other means (a mutex held
+/// across a receive, a condition variable, a sleep waiting on another
+/// rank): the ranks sharing that thread could not run meanwhile.
 
 #include <atomic>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <exception>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <unordered_map>
 #include <vector>
@@ -71,24 +85,21 @@ class Runtime {
   int size() const { return topology_.ranks(); }
   const netsim::Topology& topology() const { return topology_; }
 
-  /// Runs `rank_main` once per rank, each on its own thread, and joins.
-  /// If any rank throws, all others are aborted and the first exception is
-  /// rethrown here.
+  /// Runs `rank_main` once per rank, each as a fiber, and returns when all
+  /// have finished. The calling thread is one of the host threads. If any
+  /// rank throws, all others are aborted and the first exception is
+  /// rethrown here; a deadlock throws `Error` naming every blocked rank.
   void run(const std::function<void(Comm&)>& rank_main);
+
+  /// Host threads the last run() used: min(ranks, CPUs in the calling
+  /// thread's affinity mask); 0 before the first run.
+  int host_threads() const { return static_cast<int>(hosts_.size()); }
 
   /// Virtual completion time of the job: max over rank clocks after run().
   double elapsed_sim_seconds() const;
 
   /// Per-rank statistics collected during the last run().
   const CommStats& stats(int rank) const;
-
-  /// Host-time guard against deadlocked receives: a recv that matches
-  /// nothing for this long aborts the job with a diagnostic instead of
-  /// hanging the process. Default 120 s; 0 disables the guard.
-  void set_recv_timeout(double host_seconds) {
-    recv_timeout_s_ = host_seconds;
-  }
-  double recv_timeout() const { return recv_timeout_s_; }
 
   /// Installs network-degradation windows: every modeled communication cost
   /// is scaled by `schedule.factor_at(virtual time)`. Set before run();
@@ -103,7 +114,7 @@ class Runtime {
   /// Per-rank compute-cost multiplier: `Comm::compute(s)` charges
   /// `s * fn(world_rank, virtual time)` instead of `s`. The per-rank speed
   /// skew (resil::SkewPlan) hooks in here. Set before run(); must be a pure
-  /// function of its arguments (it is called concurrently from every rank
+  /// function of its arguments (it is called concurrently from every host
   /// thread). Unset (the default) charges `s` unchanged, so skew-free runs
   /// are bit-identical to builds without the hook.
   using ComputeScaleFn = std::function<double(int rank, double now)>;
@@ -127,10 +138,23 @@ class Runtime {
     double depart_time = 0.0;
   };
 
+  struct Fiber;
+  struct HostThread;
+
+  /// What a parked fiber waits for: post_send wakes a receiver only for
+  /// the message it names, and a deadlock report prints it.
+  struct Wait {
+    const char* op = nullptr;  // "recv" or the collective; nullptr = running
+    int source = 0;            // recv: world rank of the sender
+    int tag = 0;               // recv
+    std::uint64_t group = 0;   // communicator (0 = world)
+  };
+
   struct Mailbox {
     std::mutex mutex;
-    std::condition_variable cv;
     std::deque<Envelope> queue;
+    /// The owner, while it is parked in a receive (at most one entry).
+    std::vector<Fiber*> waiters;
   };
 
   // --- point-to-point (called by Comm) ---
@@ -138,9 +162,10 @@ class Runtime {
                  std::vector<std::byte> payload, double depart_time);
   Envelope blocking_recv(int self, int source, int tag, std::uint64_t group);
 
-  // --- sub-communicator support ---
-  /// State of one process group (world communicator = group id 0, created
-  /// implicitly). Guarded by coll_mutex_ like the world collective state.
+  // --- synchronizing collectives ---
+  /// State of one process group: the world communicator is group 0,
+  /// sub-communicators are registered by intern_group(). Guarded by
+  /// coll_mutex_; the rendezvous is generation-counted so it is reusable.
   struct GroupState {
     std::vector<int> members;  // world ranks, ordered by (key, world rank)
     std::uint64_t generation = 0;
@@ -152,48 +177,53 @@ class Runtime {
     double max_entry = 0.0;
     double cost = 0.0;
     double exit = 0.0;
+    /// Members parked until the last arrival.
+    std::vector<Fiber*> waiters;
   };
 
   /// Registers (or finds) the group with these members; returns its id.
   std::uint64_t intern_group(std::vector<int> members);
   const GroupState& group(std::uint64_t id);
 
-  // --- generic synchronizing collective ---
-  /// Every rank contributes `input` and a cost (all ranks must pass the same
-  /// cost). Rank 0's `combine` runs once over all inputs (indexed by rank);
-  /// its result is returned to every rank. Returns {result, exit_time}.
   using CombineFn = std::function<std::vector<std::byte>(
       const std::vector<std::vector<std::byte>>&)>;
-  std::vector<std::byte> collective(int rank, std::vector<std::byte> input,
+  using CombinePerRankFn = std::function<std::vector<std::vector<std::byte>>(
+      const std::vector<std::vector<std::byte>>&)>;
+
+  /// One rendezvous of group `group_id` (0 = world), entered by the member
+  /// at `member_index`; `name` labels it in deadlock reports. Every member
+  /// contributes `input` and a cost (the runtime takes the max, so members
+  /// that cannot know the cost pass 0). The last arrival runs one combine
+  /// over all inputs, indexed by member: `per_rank`, when set, yields one
+  /// result per member (alltoallv, gatherv, scatterv); otherwise `combine`
+  /// yields one result for all, and an empty `combine` yields none.
+  /// Returns the caller's result; `*exit_time` is max(entry times) + cost.
+  std::vector<std::byte> collective(const char* name, std::uint64_t group_id,
+                                    int member_index,
+                                    std::vector<std::byte> input,
                                     const CombineFn& combine,
+                                    const CombinePerRankFn* per_rank,
                                     double cost_seconds, double entry_time,
                                     double* exit_time);
 
-  /// Personalized variant: `combine` (run once, by the last arrival) returns
-  /// one result *per rank*; each rank receives its own slot. Used by
-  /// alltoallv, where every rank gets different data.
-  using CombinePerRankFn = std::function<std::vector<std::vector<std::byte>>(
-      const std::vector<std::vector<std::byte>>&)>;
-  std::vector<std::byte> collective_personalized(
-      int rank, std::vector<std::byte> input, const CombinePerRankFn& combine,
-      double cost_seconds, double entry_time, double* exit_time);
+  // --- the fiber scheduler (runtime.cpp) ---
+  void host_loop(HostThread& host);
+  void fiber_main(Fiber& self);
+  /// Parks `self` on `waiters`, waiting for `wait`, until a waker makes it
+  /// ready: the condition-variable wait of a fiber. `lock` guards
+  /// `waiters`; it is released while parked and held again on return.
+  void park(Fiber& self, std::unique_lock<std::mutex>& lock,
+            std::vector<Fiber*>& waiters, const Wait& wait);
+  /// Makes every fiber in `waiters` ready again (caller holds the lock that
+  /// guards `waiters`); `waker` is the host thread running the caller.
+  void wake_all(std::vector<Fiber*>& waiters, HostThread& waker);
+  void make_ready(Fiber& fiber, HostThread& waker);
+  /// Called when the last ready or running fiber parks or finishes while
+  /// others remain: records the deadlock diagnosis and aborts the run.
+  void report_deadlock(HostThread& waker);
+  void record_error(std::exception_ptr error);
 
-  /// Group-scoped synchronizing collectives (same semantics as the world
-  /// variants, but over the group's members; `member_index` is the caller's
-  /// position in the group).
-  std::vector<std::byte> group_collective(std::uint64_t group_id,
-                                          int member_index,
-                                          std::vector<std::byte> input,
-                                          const CombineFn& combine,
-                                          double cost_seconds,
-                                          double entry_time,
-                                          double* exit_time);
-  std::vector<std::byte> group_collective_personalized(
-      std::uint64_t group_id, int member_index, std::vector<std::byte> input,
-      const CombinePerRankFn& combine, double cost_seconds, double entry_time,
-      double* exit_time);
-
-  void abort_all();
+  void abort_all(HostThread& waker);
   void check_abort() const;
 
   netsim::Topology topology_;
@@ -201,23 +231,22 @@ class Runtime {
   std::vector<SimClock> clocks_;
   std::vector<CommStats> stats_;
 
+  std::mutex coll_mutex_;
   std::unordered_map<std::uint64_t, GroupState> groups_;
 
-  // Collective rendezvous state (generation-counted so it is reusable).
-  std::mutex coll_mutex_;
-  std::condition_variable coll_cv_;
-  std::uint64_t coll_generation_ = 0;
-  int coll_arrived_ = 0;
-  std::vector<std::vector<std::byte>> coll_inputs_;
-  std::vector<std::byte> coll_result_;
-  std::vector<std::vector<std::byte>> coll_results_per_rank_;
-  bool coll_personalized_ = false;
-  double coll_max_entry_ = 0.0;
-  double coll_cost_ = 0.0;
-  double coll_exit_ = 0.0;
+  // Per-run scheduler state.
+  std::vector<std::unique_ptr<HostThread>> hosts_;
+  std::vector<std::unique_ptr<Fiber>> fibers_;  // indexed by world rank
+  const std::function<void(Comm&)>* rank_main_ = nullptr;
+  /// Fibers ready or running (low 32 bits) and fibers not yet finished
+  /// (high 32 bits), in one word so every transition is one atomic step:
+  /// the run is deadlocked exactly when the low half reaches zero while
+  /// the high half does not.
+  std::atomic<std::uint64_t> census_{0};
+  std::mutex error_mutex_;
+  std::exception_ptr first_error_;
 
   std::atomic<bool> aborted_{false};
-  double recv_timeout_s_ = 120.0;
   netsim::DegradationSchedule degradation_;
   ComputeScaleFn compute_scale_;
 };

@@ -5,13 +5,17 @@
 // precision. The overhaul's contract is that the fast kernels change *time*
 // only, so both modes must still reproduce every digit.
 //
-// Also covered here: persistent halo scratch buffers staying put across
-// steps and across a checkpointed 27 -> 8 rank shrink, and the frozen
-// assembly scatter + DirichletPlan pair producing the same eliminated
-// system as the reference make_dirichlet/apply_dirichlet path.
+// Also covered here: the 8-rank RD fingerprint on one and on several
+// simmpi host threads (ctest runs that suite as kernels_host_threads_test),
+// persistent halo scratch buffers staying put across steps and across a
+// checkpointed 27 -> 8 rank shrink, and the frozen assembly scatter +
+// DirichletPlan pair producing the same eliminated system as the reference
+// make_dirichlet/apply_dirichlet path.
 
 #include <gtest/gtest.h>
+#include <sched.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <optional>
@@ -55,8 +59,10 @@ class ScopedKernelMode {
 
 /// Runs the RD solver and returns one fingerprint line per step, printed at
 /// full double precision so any arithmetic drift fails the comparison.
+/// `host_threads`, when given, receives the host threads the run used.
 std::vector<std::string> rd_fingerprint(int ranks, int global_cells,
-                                        int order, double dt, int steps) {
+                                        int order, double dt, int steps,
+                                        int* host_threads = nullptr) {
   std::vector<std::string> lines;
   auto rt = make_runtime(ranks);
   rt.run([&](simmpi::Comm& comm) {
@@ -81,6 +87,9 @@ std::vector<std::string> rd_fingerprint(int ranks, int global_cells,
       }
     }
   });
+  if (host_threads != nullptr) {
+    *host_threads = rt.host_threads();
+  }
   return lines;
 }
 
@@ -209,6 +218,58 @@ TEST(KernelGolden, ReferenceModeReproducesSeedToo) {
   ScopedKernelMode mode(la::KernelMode::kReference);
   expect_lines(rd_fingerprint(1, 4, 2, 0.1, 3), kRdSerial);
   expect_lines(ns_fingerprint(1, 2, 2, 1), kNsP2);
+}
+
+// ---- host-thread count ------------------------------------------------------
+
+/// Sets the calling thread's CPU affinity mask; restores the original on
+/// scope exit.
+class ScopedAffinity {
+ public:
+  explicit ScopedAffinity(const cpu_set_t& mask) {
+    HETERO_CHECK(::sched_getaffinity(0, sizeof(saved_), &saved_) == 0);
+    HETERO_CHECK(::sched_setaffinity(0, sizeof(mask), &mask) == 0);
+  }
+  ~ScopedAffinity() { ::sched_setaffinity(0, sizeof(saved_), &saved_); }
+  ScopedAffinity(const ScopedAffinity&) = delete;
+  ScopedAffinity& operator=(const ScopedAffinity&) = delete;
+
+ private:
+  cpu_set_t saved_;
+};
+
+// simmpi runs ranks as fibers on min(ranks, CPUs in the caller's affinity
+// mask) host threads. How ranks share threads must not reach the numerics:
+// all fibers on one thread and fibers spread over several threads both
+// reproduce the golden 8-rank fingerprint bit for bit.
+TEST(HostThreads, RdEightRanksMatchGoldenOnOneAndManyHostThreads) {
+  cpu_set_t mask;
+  ASSERT_EQ(::sched_getaffinity(0, sizeof(mask), &mask), 0);
+  const int cpus = CPU_COUNT(&mask);
+  if (cpus < 2) {
+    GTEST_SKIP() << "the affinity mask holds one CPU, so both runs would "
+                    "use one host thread";
+  }
+  ScopedKernelMode mode(la::KernelMode::kFast);
+  int cpu = 0;
+  while (!CPU_ISSET(cpu, &mask)) {
+    ++cpu;
+  }
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(cpu, &one);
+  int pinned_threads = 0;
+  std::vector<std::string> pinned;
+  {
+    ScopedAffinity pin(one);
+    pinned = rd_fingerprint(8, 4, 2, 0.1, 3, &pinned_threads);
+  }
+  int spread_threads = 0;
+  const auto spread = rd_fingerprint(8, 4, 2, 0.1, 3, &spread_threads);
+  EXPECT_EQ(pinned_threads, 1);
+  EXPECT_EQ(spread_threads, std::min(8, cpus));
+  expect_lines(pinned, kRdEightRanks);
+  expect_lines(spread, kRdEightRanks);
 }
 
 // ---- halo scratch reuse across steps and a 27 -> 8 rank shrink ------------

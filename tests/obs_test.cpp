@@ -474,6 +474,9 @@ TEST(ObsIntegration, DirectRdRunProducesCoherentTraceAndMetrics) {
 
   std::vector<double> last_ts(8, -1.0);
   std::vector<int> spans_per_rank(8, 0);
+  std::vector<int> sends(8, 0);
+  std::vector<int> recvs(8, 0);
+  std::vector<int> iterations(8, 0);
   int metadata = 0;
   for (std::size_t i = 0; i < events.size(); ++i) {
     const obs::Json& event = events[i];
@@ -492,12 +495,39 @@ TEST(ObsIntegration, DirectRdRunProducesCoherentTraceAndMetrics) {
     if (ph == "X") {
       ++spans_per_rank[static_cast<std::size_t>(tid)];
     }
+    const std::string& name = event.at("name").as_string();
+    const auto row = static_cast<std::size_t>(tid);
+    sends[row] += name == "send" ? 1 : 0;
+    recvs[row] += name == "recv" ? 1 : 0;
+    iterations[row] += name == "iteration" ? 1 : 0;
   }
   EXPECT_EQ(metadata, 8);  // a thread_name row per rank
+  // Ranks share host threads as fibers, and the trace row is per thread,
+  // so it must follow every switch: each rank's halo sends and receives
+  // pair up on its own row (every exchange is symmetric), and the solver's
+  // per-iteration instants, recorded on the bound row, appear once per
+  // iteration on every rank's row.
+  int total_sends = 0;
   for (int r = 0; r < 8; ++r) {
-    EXPECT_GT(spans_per_rank[static_cast<std::size_t>(r)], 0)
-        << "rank " << r << " recorded no spans";
+    const auto row = static_cast<std::size_t>(r);
+    EXPECT_GT(spans_per_rank[row], 0) << "rank " << r << " recorded no spans";
+    EXPECT_GT(sends[row], 0) << "rank " << r;
+    EXPECT_EQ(sends[row], recvs[row]) << "rank " << r;
+    EXPECT_GT(iterations[row], 0) << "rank " << r;
+    EXPECT_EQ(iterations[row], iterations[0]) << "rank " << r;
+    total_sends += sends[row];
   }
+  EXPECT_EQ(static_cast<double>(total_sends),
+            registry.counter("simmpi.messages").value());
+
+  // The run's fibers used this thread too; host-side code recording after
+  // run() must land on the host row 0 again.
+  obs::TraceRecorder host_trace(8, 16);
+  obs::set_current_trace(&host_trace);
+  obs::trace_instant("after_run", "test", 0.0);
+  obs::set_current_trace(nullptr);
+  ASSERT_EQ(host_trace.events(0).size(), 1u);
+  EXPECT_STREQ(host_trace.events(0)[0].name, "after_run");
   std::remove(trace_path.c_str());
 }
 

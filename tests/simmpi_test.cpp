@@ -3,12 +3,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <numeric>
+#include <string>
+#include <thread>
 
 #include "netsim/fabric.hpp"
+#include "obs/trace.hpp"
 #include "resil/recovery.hpp"
 #include "simmpi/comm.hpp"
 #include "simmpi/runtime.hpp"
@@ -508,29 +513,94 @@ TEST(Runtime, TrafficMatrixRecordsPointToPointBytes) {
   EXPECT_EQ(rt.stats(1).bytes_by_dest[0], 0u);  // rank 1 sent nothing
 }
 
-TEST(Runtime, DeadlockedRecvFailsLoudly) {
-  Runtime rt(test_topology(2));
-  rt.set_recv_timeout(0.2);  // host seconds
-  EXPECT_EQ(rt.recv_timeout(), 0.2);
+/// Runs `body` on `ranks` ranks, expecting the runtime to diagnose a
+/// deadlock; returns the error message. Exact detection needs no timeout,
+/// so the run must fail within a second of host time.
+std::string deadlock_message(int ranks,
+                             const std::function<void(Comm&)>& body) {
+  Runtime rt(test_topology(ranks));
+  const auto start = std::chrono::steady_clock::now();
+  std::string message;
   try {
-    rt.run([&](Comm& comm) {
-      if (comm.rank() == 1) {
-        comm.recv<double>(0, 99);  // rank 0 never sends: deadlock
-      }
-    });
-    FAIL() << "deadlock should have been detected";
+    rt.run(body);
+    ADD_FAILURE() << "deadlock should have been detected";
   } catch (const Error& e) {
-    EXPECT_NE(std::string(e.what()).find("deadlock"), std::string::npos);
+    message = e.what();
   }
+  const double host_s =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+          .count();
+  EXPECT_LT(host_s, 1.0) << "deadlock diagnosed too slowly";
+  EXPECT_NE(message.find("deadlock"), std::string::npos) << message;
+  // The runtime stays usable after the abort.
+  rt.run([&](Comm& comm) { comm.barrier(); });
+  return message;
+}
+
+TEST(Runtime, DeadlockedRecvFailsLoudly) {
+  const std::string message = deadlock_message(2, [](Comm& comm) {
+    if (comm.rank() == 1) {
+      comm.recv<double>(0, 99);  // rank 0 never sends: deadlock
+    }
+  });
+  EXPECT_NE(message.find("rank 1 waits in recv(source 0, tag 99)"),
+            std::string::npos)
+      << message;
+  EXPECT_EQ(message.find("rank 0 "), std::string::npos)
+      << "rank 0 finished and is not blocked: " << message;
+}
+
+TEST(Runtime, DeadlockBetweenBarrierAndRecvNamesBoth) {
+  const std::string message = deadlock_message(2, [](Comm& comm) {
+    if (comm.rank() == 0) {
+      comm.barrier();  // rank 1 never arrives
+    } else {
+      comm.recv<double>(0, 5);  // rank 0 never sends
+    }
+  });
+  EXPECT_NE(message.find("rank 0 waits in barrier (1 of 2 ranks arrived)"),
+            std::string::npos)
+      << message;
+  EXPECT_NE(message.find("rank 1 waits in recv(source 0, tag 5)"),
+            std::string::npos)
+      << message;
+}
+
+TEST(Runtime, RingWhereEveryRankReceivesFirstDeadlocks) {
+  const std::string message = deadlock_message(8, [](Comm& comm) {
+    const int next = (comm.rank() + 1) % comm.size();
+    const int prev = (comm.rank() + comm.size() - 1) % comm.size();
+    comm.recv<double>(prev, 3);
+    comm.send(std::vector<double>{1.0}, next, 3);
+  });
+  for (int r = 0; r < 8; ++r) {
+    const std::string want = "rank " + std::to_string(r) +
+                             " waits in recv(source " +
+                             std::to_string((r + 7) % 8) + ", tag 3)";
+    EXPECT_NE(message.find(want), std::string::npos) << message;
+  }
+}
+
+TEST(Runtime, DeadlockInSubCommunicatorCollectiveIsDiagnosed) {
+  // Group {1, 3} never completes its allreduce: rank 3 skips it.
+  const std::string message = deadlock_message(4, [](Comm& comm) {
+    Comm half = comm.split(comm.rank() % 2, comm.rank());
+    if (comm.rank() != 3) {
+      half.allreduce(1.0, ReduceOp::kSum);  // rank 3 never joins group 1
+    }
+  });
+  EXPECT_NE(message.find("rank 1 waits in allreduce on a split communicator "
+                         "(1 of 2 ranks arrived)"),
+            std::string::npos)
+      << message;
 }
 
 TEST(Runtime, InjectedFaultAbortsBlockedPeersWithinTheGuardWindow) {
   // Fault-injection kills a rank by throwing resil::InjectedFault from its
-  // body while the peers sit in blocking receives. The abort — not the
-  // deadlock guard — must wake them: the run has to fail well inside the
-  // guard window and rethrow the injected fault, not a deadlock error.
+  // body while the peers sit in blocking receives. The abort must wake
+  // them: the run has to fail promptly and rethrow the injected fault, not
+  // a deadlock error.
   Runtime rt(test_topology(4));
-  rt.set_recv_timeout(30.0);  // guard stays armed but must never fire
   const auto start = std::chrono::steady_clock::now();
   try {
     rt.run([&](Comm& comm) {
@@ -553,6 +623,62 @@ TEST(Runtime, InjectedFaultAbortsBlockedPeersWithinTheGuardWindow) {
   // The runtime stays usable after the abort (the next attempt of a
   // recovery loop reuses fresh runtimes, but a reused one must not wedge).
   rt.run([&](Comm& comm) { comm.barrier(); });
+}
+
+TEST(Runtime, ManyRanksShareFewHostThreads) {
+  // Far more ranks than CPUs: every rank still runs, in both directions of
+  // a ring exchange, and the run uses at most one host thread per CPU.
+  Runtime rt(test_topology(200, 8));
+  std::atomic<int> sum{0};
+  rt.run([&](Comm& comm) {
+    const int next = (comm.rank() + 1) % comm.size();
+    const int prev = (comm.rank() + comm.size() - 1) % comm.size();
+    comm.send(std::vector<std::int64_t>{comm.rank()}, next, 0);
+    comm.send(std::vector<std::int64_t>{comm.rank()}, prev, 1);
+    const auto a = comm.recv<std::int64_t>(prev, 0);
+    const auto b = comm.recv<std::int64_t>(next, 1);
+    sum.fetch_add(static_cast<int>(a[0] + b[0]));
+    comm.barrier();
+  });
+  EXPECT_EQ(sum.load(), 2 * (199 * 200 / 2));
+  const auto cpus = std::max(1u, std::thread::hardware_concurrency());
+  EXPECT_GE(rt.host_threads(), 1);
+  EXPECT_LE(rt.host_threads(), static_cast<int>(cpus));
+}
+
+TEST(Runtime, EachRankTracesOnItsOwnRowAndTheCallerKeepsItsRow) {
+  // obs binds the trace row per OS thread; fibers sharing a thread must
+  // rebind it on every switch-in, and run() must give the caller its row
+  // back.
+  obs::TraceRecorder recorder(6, 64);
+  obs::set_current_trace(&recorder);
+  obs::bind_trace_rank(5);
+  Runtime rt(test_topology(4));
+  rt.run([&](Comm& comm) {
+    for (int round = 0; round < 3; ++round) {
+      obs::trace_instant("mark", "test", static_cast<double>(round), "rank",
+                         comm.rank());
+      comm.barrier();  // every rank switches out between its marks
+    }
+  });
+  obs::trace_instant("after_run", "test", 9.0);
+  obs::set_current_trace(nullptr);
+  EXPECT_EQ(obs::bound_trace_rank(), 5);
+  obs::bind_trace_rank(0);
+  for (int r = 0; r < 4; ++r) {
+    int marks = 0;
+    for (const auto& event : recorder.events(r)) {
+      if (std::string(event.name) == "mark") {
+        EXPECT_EQ(event.arg, static_cast<double>(r))
+            << "rank " << event.arg << " on row " << r;
+        ++marks;
+      }
+    }
+    EXPECT_EQ(marks, 3) << "row " << r;
+  }
+  const auto host_row = recorder.events(5);
+  ASSERT_EQ(host_row.size(), 1u);
+  EXPECT_STREQ(host_row[0].name, "after_run");
 }
 
 TEST(Runtime, DegradedWindowsSlowCommunicationDeterministically) {

@@ -159,7 +159,7 @@ job_tsan() {
       -DCMAKE_BUILD_TYPE=RelWithDebInfo -DHETERO_SANITIZE=thread
   ctest --test-dir build-ci-tsan --output-on-failure -j "$JOBS" \
       --timeout 600 \
-      -R '^(simmpi_test|resil_test|la_test|la_prop_test|kernels_diff_test|obs_test|campaign_engine_test|rebroker_test|lb_test|svc_test|proc_test|grid_test)$'
+      -R '^(simmpi_test|resil_test|la_test|la_prop_test|kernels_diff_test|kernels_host_threads_test|obs_test|campaign_engine_test|rebroker_test|lb_test|svc_test|proc_test|grid_test)$'
 }
 
 job_svc() {

@@ -100,7 +100,8 @@ struct EngineBundle {
 
 /// --jobs N > HETEROLAB_JOBS > hardware concurrency; `direct_default_1`
 /// makes direct-mode runs sequential unless --jobs is given explicitly
-/// (each direct experiment already spawns one thread per rank).
+/// (each direct experiment already runs its ranks as fibers on
+/// min(ranks, CPUs) host threads).
 /// --workers N > HETEROLAB_WORKERS > 0 forks a supervised worker-process
 /// pool; --store PATH persists results across restarts; --proc-dir PATH
 /// keeps the worker shards on disk so interrupted runs resume.
