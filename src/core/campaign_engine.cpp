@@ -1,7 +1,6 @@
 #include "core/campaign_engine.hpp"
 
 #include <atomic>
-#include <bit>
 #include <chrono>
 #include <condition_variable>
 #include <cstdlib>
@@ -14,22 +13,12 @@
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "support/byte_codec.hpp"
 #include "support/error.hpp"
 
 namespace hetero::core {
 
 namespace {
-
-/// Doubles go into the key bit-exactly so 0.02 and 0.020000001 never alias.
-void append_bits(std::string& key, double v) {
-  key += std::to_string(std::bit_cast<std::uint64_t>(v));
-  key.push_back('|');
-}
-
-void append_int(std::string& key, long long v) {
-  key += std::to_string(v);
-  key.push_back('|');
-}
 
 /// True on threads currently executing a pool task; parallel_for uses it to
 /// run nested fan-outs inline instead of deadlocking on its own pool.
@@ -55,67 +44,11 @@ int resolve_jobs(int requested) {
 std::string experiment_cache_key(const Experiment& e,
                                  std::uint64_t runner_seed) {
   std::string key;
-  key.reserve(128);
-  append_int(key, static_cast<long long>(e.app));
-  key += e.platform;
-  key.push_back('|');
-  append_int(key, e.ranks);
-  append_int(key, e.cells_per_rank_axis);
-  append_int(key, e.element_order);
-  append_int(key, static_cast<long long>(e.mode));
-  append_int(key, e.direct_steps);
-  append_int(key, e.ec2_spot_mix ? 1 : 0);
-  append_int(key, e.ec2_placement_groups);
-  append_bits(key, e.cross_group_penalty);
-  append_bits(key, e.ec2_spot_bid_usd);
-  // Fault/recovery knobs change the result; omitting any would alias
-  // memoized entries across different fault configurations.
-  append_bits(key, e.faults.rank_crash_rate);
-  append_bits(key, e.faults.launch_failure_rate);
-  append_bits(key, e.faults.reclaim_storm_rate);
-  append_bits(key, e.faults.net_degrade_rate);
-  append_bits(key, e.faults.net_degrade_factor);
-  append_bits(key, e.faults.net_degrade_window_s);
-  append_int(key, static_cast<long long>(e.recovery.kind));
-  append_int(key, e.recovery.checkpoint_every);
-  append_int(key, e.recovery.max_attempts);
-  append_bits(key, e.recovery.backoff_base_s);
-  append_bits(key, e.recovery.backoff_factor);
-  append_bits(key, e.recovery.backoff_cap_s);
-  append_int(key, e.recovery.shrink_ranks_on_crash ? 1 : 0);
-  // Skew and balance knobs change both timings and (post-rebalance) the
-  // partition; a skewed/balanced cell must never alias a plain one.
-  append_bits(key, e.skew.slow_core_fraction);
-  append_bits(key, e.skew.slow_core_factor);
-  append_bits(key, e.skew.noise_rate);
-  append_bits(key, e.skew.noise_factor);
-  append_bits(key, e.skew.window_s);
-  append_int(key, e.skew_assume_balanced ? 1 : 0);
-  append_int(key, e.balance.enabled ? 1 : 0);
-  append_bits(key, e.balance.threshold);
-  append_int(key, e.balance.check_every);
-  append_int(key, e.balance.min_steps);
-  append_int(key, e.balance.max_rebalances);
-  key += e.balance.mode;
-  key.push_back('|');
-  append_bits(key, e.balance.min_weight);
-  append_bits(key, e.balance.max_weight);
-  append_bits(key, e.balance.diffusion_eta);
-  // Re-brokering policy knobs likewise: an adaptive run and a static run
-  // of the same experiment must never share a memo entry.
-  append_int(key, e.rebroker.enabled ? 1 : 0);
-  key += e.rebroker.fallback_platform;
-  key.push_back('|');
-  append_int(key, e.rebroker.target_ranks);
-  append_bits(key, e.rebroker.hysteresis);
-  append_bits(key, e.rebroker.migrate_budget_usd);
-  append_int(key, e.rebroker.sample_every);
-  append_bits(key, e.rebroker.deadline_s);
-  append_int(key, e.rebroker.max_migrations);
-  key += e.rebroker.run_label;
-  key.push_back('|');
-  append_int(key, static_cast<long long>(e.seed));
-  append_int(key, static_cast<long long>(runner_seed));
+  key.reserve(512);
+  visit_fields(e, [&key](const auto& field) {
+    support::append_key_field(key, field);
+  });
+  support::append_key_field(key, runner_seed);
   return key;
 }
 
@@ -344,7 +277,7 @@ CampaignEngine::~CampaignEngine() = default;
 int CampaignEngine::experiment_weight(const Experiment& e) const {
   // Trace/metrics output installs process-global observers, so those runs
   // take the whole budget and execute alone.
-  if (!e.trace_path.empty() || !e.metrics_path.empty()) {
+  if (writes_output_files(e)) {
     return budget_;
   }
   return e.mode == Mode::kDirect ? std::max(1, e.ranks) : 1;
@@ -393,13 +326,12 @@ ExperimentResult CampaignEngine::run(const Experiment& e) {
   // With an executor installed, single runs are one-element batches so the
   // memo/store/dispatch flow stays in one place. Trace/metrics runs are
   // exempt: they must execute in *this* process for the files to appear.
-  if (options_.executor != nullptr && e.trace_path.empty() &&
-      e.metrics_path.empty()) {
+  if (options_.executor != nullptr && !writes_output_files(e)) {
     return run_batch_executor({e})[0];
   }
   // Side-effecting runs (trace/metrics files) are never replayed from the
   // cache: the caller wants the files written.
-  if (!options_.memoize || !e.trace_path.empty() || !e.metrics_path.empty()) {
+  if (!options_.memoize || writes_output_files(e)) {
     return execute_uncached(e);
   }
   const std::string key = experiment_cache_key(e, seed_);
@@ -517,7 +449,7 @@ std::vector<ExperimentResult> CampaignEngine::run_batch_executor(
   std::vector<Experiment> dispatch;
   for (std::size_t i = 0; i < n; ++i) {
     const Experiment& e = batch[i];
-    if (!e.trace_path.empty() || !e.metrics_path.empty()) {
+    if (writes_output_files(e)) {
       // Process-global side effects: run locally, exclusively, afterwards.
       inline_indices.push_back(i);
       continue;

@@ -173,8 +173,9 @@ class CampaignEngine {
   std::unique_ptr<Impl> impl_;
 };
 
-/// Canonical cache key: every Experiment field that influences the result,
-/// plus the runner seed. Exposed for tests.
+/// Canonical cache key: every field of visit_fields(Experiment) in its
+/// order, as support::append_key_field text, then the runner seed.
+/// Exposed for tests.
 std::string experiment_cache_key(const Experiment& experiment,
                                  std::uint64_t runner_seed);
 

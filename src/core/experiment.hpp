@@ -13,9 +13,11 @@
 ///     runtime (threads + virtual clocks); used at small scale for
 ///     validation and for the exact-solution oracles.
 
+#include <concepts>
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "apps/app_common.hpp"
@@ -140,6 +142,125 @@ struct ExperimentResult {
   /// and the last weighted imbalance the balancer saw.
   lb::BalanceOutcome balance;
 };
+
+/// True when the run writes trace or metrics files. Those paths are output
+/// sinks, not inputs: such a run executes in the calling process and is
+/// never memoized, dispatched to a worker or shipped over the wire.
+inline bool writes_output_files(const Experiment& e) {
+  return !e.trace_path.empty() || !e.metrics_path.empty();
+}
+
+/// The one field list of Experiment: calls `v(field)` once per field that
+/// decides the result. experiment_cache_key and the worker payload
+/// (proc::encode/decode_experiment) walk it, so a field added to the struct
+/// must be added here or it silently aliases memo entries. The order is
+/// persisted: it is the memo stores' key text. trace_path and metrics_path
+/// are absent (see writes_output_files).
+template <class E, class V>
+  requires std::same_as<std::remove_const_t<E>, Experiment>
+void visit_fields(E& e, V&& v) {
+  v(e.app);
+  v(e.platform);
+  v(e.ranks);
+  v(e.cells_per_rank_axis);
+  v(e.element_order);
+  v(e.mode);
+  v(e.direct_steps);
+  v(e.ec2_spot_mix);
+  v(e.ec2_placement_groups);
+  v(e.cross_group_penalty);
+  v(e.ec2_spot_bid_usd);
+  v(e.faults.rank_crash_rate);
+  v(e.faults.launch_failure_rate);
+  v(e.faults.reclaim_storm_rate);
+  v(e.faults.net_degrade_rate);
+  v(e.faults.net_degrade_factor);
+  v(e.faults.net_degrade_window_s);
+  v(e.recovery.kind);
+  v(e.recovery.checkpoint_every);
+  v(e.recovery.max_attempts);
+  v(e.recovery.backoff_base_s);
+  v(e.recovery.backoff_factor);
+  v(e.recovery.backoff_cap_s);
+  v(e.recovery.shrink_ranks_on_crash);
+  v(e.skew.slow_core_fraction);
+  v(e.skew.slow_core_factor);
+  v(e.skew.noise_rate);
+  v(e.skew.noise_factor);
+  v(e.skew.window_s);
+  v(e.skew_assume_balanced);
+  v(e.balance.enabled);
+  v(e.balance.threshold);
+  v(e.balance.check_every);
+  v(e.balance.min_steps);
+  v(e.balance.max_rebalances);
+  v(e.balance.mode);
+  v(e.balance.min_weight);
+  v(e.balance.max_weight);
+  v(e.balance.diffusion_eta);
+  v(e.rebroker.enabled);
+  v(e.rebroker.fallback_platform);
+  v(e.rebroker.target_ranks);
+  v(e.rebroker.hysteresis);
+  v(e.rebroker.migrate_budget_usd);
+  v(e.rebroker.sample_every);
+  v(e.rebroker.deadline_s);
+  v(e.rebroker.max_migrations);
+  v(e.rebroker.run_label);
+  v(e.seed);
+}
+
+/// The one field list of ExperimentResult, walked by the memo store's value
+/// codec (svc::encode/decode_result) and so by every result that crosses a
+/// process boundary. The order is persisted: it is the layout of the HMS1
+/// `exp|` values (svc::kResultCodecVersion).
+template <class R, class V>
+  requires std::same_as<std::remove_const_t<R>, ExperimentResult>
+void visit_fields(R& r, V&& v) {
+  v(r.launched);
+  v(r.failure_reason);
+  v(r.queue_wait_s);
+  v(r.provisioning_hours);
+  v(r.iteration.assembly_s);
+  v(r.iteration.preconditioner_s);
+  v(r.iteration.solve_s);
+  v(r.iteration.total_s);
+  v(r.iteration.solver_iterations);
+  v(r.hosts);
+  v(r.cost_per_iteration_usd);
+  v(r.est_cost_per_iteration_usd);
+  v(r.spot_hosts);
+  v(r.work_per_rank.local_tets);
+  v(r.work_per_rank.local_rows);
+  v(r.work_per_rank.local_nonzeros);
+  v(r.work_per_rank.matrix_entries_assembled);
+  v(r.work_per_rank.halo_doubles);
+  v(r.work_per_rank.solver_iterations);
+  v(r.nodal_error);
+  v(r.solver_converged);
+  v(r.resil.attempts);
+  v(r.resil.faults_injected);
+  v(r.resil.launch_retries);
+  v(r.resil.steps_wasted);
+  v(r.resil.steps_recovered);
+  v(r.resil.checkpoints_written);
+  v(r.resil.retry_delay_s);
+  v(r.resil.wasted_sim_s);
+  v(r.resil.wasted_cost_usd);
+  v(r.resil.recovered);
+  v(r.resil.final_ranks);
+  v(r.rebroker.samples);
+  v(r.rebroker.decisions);
+  v(r.rebroker.migrations);
+  v(r.rebroker.storms);
+  v(r.rebroker.final_platform);
+  v(r.rebroker.migration_wait_s);
+  v(r.rebroker.migration_cost_usd);
+  v(r.rebroker.trail);
+  v(r.balance.checks);
+  v(r.balance.rebalances);
+  v(r.balance.last_imbalance);
+}
 
 class ExperimentRunner {
  public:

@@ -1,8 +1,6 @@
 #include "proc/wire.hpp"
 
-#include <bit>
-#include <cstring>
-
+#include "support/byte_codec.hpp"
 #include "support/error.hpp"
 #include "support/io_util.hpp"
 
@@ -10,84 +8,13 @@ namespace hetero::proc {
 
 namespace {
 
+using support::get_u32;
+using support::get_u64;
+using support::put_u32;
+using support::put_u64;
+
 constexpr std::uint32_t kFrameMagic = 0x48504631;  // "HPF1"
 constexpr std::size_t kFrameHeaderBytes = 4 + 4 + 8 + 4 + 4;
-
-void put_u32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void put_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void put_i64(std::string& out, std::int64_t v) {
-  put_u64(out, static_cast<std::uint64_t>(v));
-}
-
-void put_double(std::string& out, double v) {
-  put_u64(out, std::bit_cast<std::uint64_t>(v));
-}
-
-void put_bool(std::string& out, bool v) { out.push_back(v ? '\1' : '\0'); }
-
-void put_string(std::string& out, const std::string& s) {
-  put_u64(out, s.size());
-  out += s;
-}
-
-std::uint32_t get_u32(const unsigned char* p) {
-  std::uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) {
-    v = (v << 8) | p[i];
-  }
-  return v;
-}
-
-std::uint64_t get_u64(const unsigned char* p) {
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) {
-    v = (v << 8) | p[i];
-  }
-  return v;
-}
-
-struct Reader {
-  const std::string& bytes;
-  std::size_t pos = 0;
-
-  void need(std::size_t n) const {
-    HETERO_REQUIRE(pos + n <= bytes.size(),
-                   "experiment codec: truncated payload");
-  }
-  std::uint64_t u64() {
-    need(8);
-    std::uint64_t v = 0;
-    for (int i = 7; i >= 0; --i) {
-      v = (v << 8) | static_cast<unsigned char>(bytes[pos + i]);
-    }
-    pos += 8;
-    return v;
-  }
-  std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
-  int i32() { return static_cast<int>(i64()); }
-  double f64() { return std::bit_cast<double>(u64()); }
-  bool boolean() {
-    need(1);
-    return bytes[pos++] != '\0';
-  }
-  std::string str() {
-    const std::uint64_t n = u64();
-    need(n);
-    std::string s = bytes.substr(pos, n);
-    pos += n;
-    return s;
-  }
-};
 
 }  // namespace
 
@@ -104,7 +31,7 @@ bool send_frame(int fd, const Frame& frame) {
 }
 
 bool recv_frame(int fd, Frame* out) {
-  unsigned char header[kFrameHeaderBytes];
+  char header[kFrameHeaderBytes];
   if (support::read_full(fd, header, sizeof(header)) !=
       static_cast<ssize_t>(sizeof(header))) {
     return false;
@@ -126,125 +53,15 @@ bool recv_frame(int fd, Frame* out) {
 }
 
 std::string encode_experiment(const core::Experiment& e) {
-  std::string out;
-  out.reserve(512);
-  out.push_back(static_cast<char>(kExperimentCodecVersion));
-  put_i64(out, static_cast<std::int64_t>(e.app));
-  put_string(out, e.platform);
-  put_i64(out, e.ranks);
-  put_i64(out, e.cells_per_rank_axis);
-  put_i64(out, e.element_order);
-  put_i64(out, static_cast<std::int64_t>(e.mode));
-  put_i64(out, e.direct_steps);
-  put_bool(out, e.ec2_spot_mix);
-  put_i64(out, e.ec2_placement_groups);
-  put_double(out, e.cross_group_penalty);
-  put_double(out, e.ec2_spot_bid_usd);
-  put_string(out, e.trace_path);
-  put_string(out, e.metrics_path);
-  put_double(out, e.faults.rank_crash_rate);
-  put_double(out, e.faults.launch_failure_rate);
-  put_double(out, e.faults.reclaim_storm_rate);
-  put_double(out, e.faults.net_degrade_rate);
-  put_double(out, e.faults.net_degrade_factor);
-  put_double(out, e.faults.net_degrade_window_s);
-  put_i64(out, static_cast<std::int64_t>(e.recovery.kind));
-  put_i64(out, e.recovery.checkpoint_every);
-  put_i64(out, e.recovery.max_attempts);
-  put_double(out, e.recovery.backoff_base_s);
-  put_double(out, e.recovery.backoff_factor);
-  put_double(out, e.recovery.backoff_cap_s);
-  put_bool(out, e.recovery.shrink_ranks_on_crash);
-  put_bool(out, e.rebroker.enabled);
-  put_string(out, e.rebroker.fallback_platform);
-  put_i64(out, e.rebroker.target_ranks);
-  put_double(out, e.rebroker.hysteresis);
-  put_double(out, e.rebroker.migrate_budget_usd);
-  put_i64(out, e.rebroker.sample_every);
-  put_double(out, e.rebroker.deadline_s);
-  put_i64(out, e.rebroker.max_migrations);
-  put_string(out, e.rebroker.run_label);
-  put_double(out, e.skew.slow_core_fraction);
-  put_double(out, e.skew.slow_core_factor);
-  put_double(out, e.skew.noise_rate);
-  put_double(out, e.skew.noise_factor);
-  put_double(out, e.skew.window_s);
-  put_bool(out, e.skew_assume_balanced);
-  put_bool(out, e.balance.enabled);
-  put_double(out, e.balance.threshold);
-  put_i64(out, e.balance.check_every);
-  put_i64(out, e.balance.min_steps);
-  put_i64(out, e.balance.max_rebalances);
-  put_string(out, e.balance.mode);
-  put_double(out, e.balance.min_weight);
-  put_double(out, e.balance.max_weight);
-  put_double(out, e.balance.diffusion_eta);
-  put_u64(out, e.seed);
-  return out;
+  HETERO_REQUIRE(!core::writes_output_files(e),
+                 "experiment codec: a run that writes trace or metrics "
+                 "files executes in-process and is never shipped");
+  return support::encode_fields(kExperimentCodecVersion, e);
 }
 
 core::Experiment decode_experiment(const std::string& bytes) {
-  Reader in{bytes};
-  in.need(1);
-  const unsigned char version = static_cast<unsigned char>(bytes[in.pos++]);
-  HETERO_REQUIRE(version == kExperimentCodecVersion,
-                 "experiment codec: unsupported version " +
-                     std::to_string(version));
-  core::Experiment e;
-  e.app = static_cast<perf::AppKind>(in.i64());
-  e.platform = in.str();
-  e.ranks = in.i32();
-  e.cells_per_rank_axis = in.i32();
-  e.element_order = in.i32();
-  e.mode = static_cast<core::Mode>(in.i64());
-  e.direct_steps = in.i32();
-  e.ec2_spot_mix = in.boolean();
-  e.ec2_placement_groups = in.i32();
-  e.cross_group_penalty = in.f64();
-  e.ec2_spot_bid_usd = in.f64();
-  e.trace_path = in.str();
-  e.metrics_path = in.str();
-  e.faults.rank_crash_rate = in.f64();
-  e.faults.launch_failure_rate = in.f64();
-  e.faults.reclaim_storm_rate = in.f64();
-  e.faults.net_degrade_rate = in.f64();
-  e.faults.net_degrade_factor = in.f64();
-  e.faults.net_degrade_window_s = in.f64();
-  e.recovery.kind = static_cast<resil::RecoveryKind>(in.i64());
-  e.recovery.checkpoint_every = in.i32();
-  e.recovery.max_attempts = in.i32();
-  e.recovery.backoff_base_s = in.f64();
-  e.recovery.backoff_factor = in.f64();
-  e.recovery.backoff_cap_s = in.f64();
-  e.recovery.shrink_ranks_on_crash = in.boolean();
-  e.rebroker.enabled = in.boolean();
-  e.rebroker.fallback_platform = in.str();
-  e.rebroker.target_ranks = in.i32();
-  e.rebroker.hysteresis = in.f64();
-  e.rebroker.migrate_budget_usd = in.f64();
-  e.rebroker.sample_every = in.i32();
-  e.rebroker.deadline_s = in.f64();
-  e.rebroker.max_migrations = in.i32();
-  e.rebroker.run_label = in.str();
-  e.skew.slow_core_fraction = in.f64();
-  e.skew.slow_core_factor = in.f64();
-  e.skew.noise_rate = in.f64();
-  e.skew.noise_factor = in.f64();
-  e.skew.window_s = in.f64();
-  e.skew_assume_balanced = in.boolean();
-  e.balance.enabled = in.boolean();
-  e.balance.threshold = in.f64();
-  e.balance.check_every = in.i32();
-  e.balance.min_steps = in.i32();
-  e.balance.max_rebalances = in.i32();
-  e.balance.mode = in.str();
-  e.balance.min_weight = in.f64();
-  e.balance.max_weight = in.f64();
-  e.balance.diffusion_eta = in.f64();
-  e.seed = in.u64();
-  HETERO_REQUIRE(in.pos == bytes.size(),
-                 "experiment codec: trailing bytes in payload");
-  return e;
+  return support::decode_fields<core::Experiment>(
+      bytes, kExperimentCodecVersion, "experiment codec");
 }
 
 }  // namespace hetero::proc

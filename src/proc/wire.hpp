@@ -3,9 +3,9 @@
 /// \file wire.hpp
 /// Supervisor <-> worker wire protocol of the multi-process campaign
 /// backend: length-prefixed binary frames over pipes, plus a bit-exact
-/// Experiment codec (the job payload) in the style of svc::result_codec —
-/// doubles travel as IEEE-754 bit patterns so a worker computes exactly
-/// the experiment the supervisor described.
+/// Experiment codec (the job payload) on the same byte codec as
+/// svc::result_codec — doubles travel as IEEE-754 bit patterns so a worker
+/// computes exactly the experiment the supervisor described.
 ///
 /// Frame layout (little-endian):
 ///
@@ -49,8 +49,16 @@ bool recv_frame(int fd, Frame* out);
 
 /// Version tag of the experiment encoding; bumped on layout changes so a
 /// mixed-build supervisor/worker pair fails loudly instead of misreading.
-inline constexpr unsigned char kExperimentCodecVersion = 2;
+/// v2 added Experiment::element_order.
+/// v3 walks core::visit_fields (the cache key's order: the rebroker block
+/// moved after balance) and drops trace_path and metrics_path, which are
+/// never shipped. A frame never outlives the supervisor and the workers it
+/// forked, so nothing on disk changes with this version.
+inline constexpr unsigned char kExperimentCodecVersion = 3;
 
+/// Every field of core::visit_fields, in its order (support/byte_codec.hpp
+/// gives the per-type layout). Throws hetero::Error when the experiment
+/// writes trace or metrics files: such runs execute in-process only.
 std::string encode_experiment(const core::Experiment& experiment);
 
 /// Throws hetero::Error on a malformed or version-mismatched payload.

@@ -8,6 +8,7 @@
 #include <cerrno>
 #include <cstring>
 
+#include "support/byte_codec.hpp"
 #include "support/error.hpp"
 #include "support/hash.hpp"
 #include "support/io_util.hpp"
@@ -18,34 +19,6 @@ namespace {
 
 constexpr std::uint32_t kMagic = 0x484D5331;  // "HMS1"
 constexpr std::size_t kHeaderBytes = 4 + 4 + 4 + 8;
-
-void put_u32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void put_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-std::uint32_t get_u32(const char* p) {
-  std::uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) {
-    v = (v << 8) | static_cast<unsigned char>(p[i]);
-  }
-  return v;
-}
-
-std::uint64_t get_u64(const char* p) {
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) {
-    v = (v << 8) | static_cast<unsigned char>(p[i]);
-  }
-  return v;
-}
 
 std::uint64_t checksum_bytes(std::uint64_t h, const std::string& bytes) {
   std::size_t i = 0;

@@ -1,26 +1,19 @@
 #include "svc/protocol.hpp"
 
-#include <bit>
 #include <cmath>
 
 #include "broker/objectives.hpp"
 #include "platform/platform_spec.hpp"
+#include "support/byte_codec.hpp"
 #include "support/error.hpp"
 
 namespace hetero::svc {
 
 namespace {
 
-/// Doubles go into the cache key bit-exactly, like the engine's
-/// experiment_cache_key: 0.02 and 0.020000001 must never alias.
-void append_bits(std::string& key, double v) {
-  key += std::to_string(std::bit_cast<std::uint64_t>(v));
-  key.push_back('|');
-}
-
 void append_opt(std::string& key, const std::optional<double>& v) {
   if (v.has_value()) {
-    append_bits(key, *v);
+    support::append_key_field(key, *v);
   } else {
     key += "-|";
   }
@@ -214,6 +207,9 @@ SvcRequest parse_request_line(const std::string& line) {
 }
 
 std::string request_cache_key(const SvcRequest& request, std::uint64_t seed) {
+  // Same key text as the engine's experiment_cache_key: doubles go in
+  // bit-exactly, so 0.02 and 0.020000001 never alias.
+  using support::append_key_field;
   std::string key;
   key.reserve(128);
   key += "req-v1|";
@@ -221,51 +217,35 @@ std::string request_cache_key(const SvcRequest& request, std::uint64_t seed) {
     // Own sub-namespace: job-request keys stay byte-for-byte what they
     // were, so existing memo stores keep warm-starting.
     key += "rb|";
-    key += std::to_string(static_cast<int>(request.job.app));
-    key.push_back('|');
-    key += std::to_string(request.job.ranks);
-    key.push_back('|');
-    key += std::to_string(request.job.cells_per_rank_axis);
-    key.push_back('|');
-    key += request.rb.platform;
-    key.push_back('|');
-    key += request.rb.fallback;
-    key.push_back('|');
-    key += std::to_string(request.rb.steps);
-    key.push_back('|');
-    key += std::to_string(request.rb.done);
-    key.push_back('|');
-    append_bits(key, request.rb.observed_s);
-    key += std::to_string(request.rb.storms);
-    key.push_back('|');
-    append_bits(key, request.rb.hysteresis);
-    append_bits(key, request.rb.deadline_s);
-    append_bits(key, request.rb.migrate_budget_usd);
-    key += std::to_string(request.rb.target_ranks);
-    key.push_back('|');
+    append_key_field(key, request.job.app);
+    append_key_field(key, request.job.ranks);
+    append_key_field(key, request.job.cells_per_rank_axis);
+    append_key_field(key, request.rb.platform);
+    append_key_field(key, request.rb.fallback);
+    append_key_field(key, request.rb.steps);
+    append_key_field(key, request.rb.done);
+    append_key_field(key, request.rb.observed_s);
+    append_key_field(key, request.rb.storms);
+    append_key_field(key, request.rb.hysteresis);
+    append_key_field(key, request.rb.deadline_s);
+    append_key_field(key, request.rb.migrate_budget_usd);
+    append_key_field(key, request.rb.target_ranks);
     key += std::to_string(seed);
     return key;
   }
-  key += std::to_string(static_cast<int>(request.job.app));
-  key.push_back('|');
-  key += std::to_string(request.job.total_elements);
-  key.push_back('|');
-  key += std::to_string(request.job.ranks);
-  key.push_back('|');
-  key += std::to_string(request.job.cells_per_rank_axis);
-  key.push_back('|');
-  key += std::to_string(request.job.iterations);
-  key.push_back('|');
+  append_key_field(key, request.job.app);
+  append_key_field(key, request.job.total_elements);
+  append_key_field(key, request.job.ranks);
+  append_key_field(key, request.job.cells_per_rank_axis);
+  append_key_field(key, request.job.iterations);
   append_opt(key, request.job.deadline_h);
   append_opt(key, request.job.budget_usd);
-  append_bits(key, request.job.risk_tolerance);
+  append_key_field(key, request.job.risk_tolerance);
   append_opt(key, request.job.risk_budget_usd);
-  key += request.job.include_provisioning ? "1|" : "0|";
-  key += request.objective;
-  key.push_back('|');
-  key += request.want_frontier ? "1|" : "0|";
-  key += std::to_string(request.top);
-  key.push_back('|');
+  append_key_field(key, request.job.include_provisioning);
+  append_key_field(key, request.objective);
+  append_key_field(key, request.want_frontier);
+  append_key_field(key, request.top);
   key += std::to_string(seed);
   return key;
 }

@@ -1,9 +1,6 @@
 #include "svc/result_codec.hpp"
 
-#include <bit>
-#include <cstdint>
-#include <cstring>
-
+#include "support/byte_codec.hpp"
 #include "support/error.hpp"
 #include "svc/memo_store.hpp"
 
@@ -15,176 +12,15 @@ namespace {
 /// log shared with the advisory service.
 const std::string kExperimentKeyPrefix = "exp|";
 
-void put_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void put_i64(std::string& out, std::int64_t v) {
-  put_u64(out, static_cast<std::uint64_t>(v));
-}
-
-void put_double(std::string& out, double v) {
-  put_u64(out, std::bit_cast<std::uint64_t>(v));
-}
-
-void put_bool(std::string& out, bool v) {
-  out.push_back(v ? '\1' : '\0');
-}
-
-void put_string(std::string& out, const std::string& s) {
-  put_u64(out, s.size());
-  out += s;
-}
-
-struct Reader {
-  const std::string& bytes;
-  std::size_t pos = 0;
-
-  void need(std::size_t n) const {
-    HETERO_REQUIRE(pos + n <= bytes.size(),
-                   "result codec: truncated payload");
-  }
-  std::uint64_t u64() {
-    need(8);
-    std::uint64_t v = 0;
-    for (int i = 7; i >= 0; --i) {
-      v = (v << 8) | static_cast<unsigned char>(bytes[pos + i]);
-    }
-    pos += 8;
-    return v;
-  }
-  std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
-  int i32() { return static_cast<int>(i64()); }
-  double f64() { return std::bit_cast<double>(u64()); }
-  bool boolean() {
-    need(1);
-    return bytes[pos++] != '\0';
-  }
-  std::string str() {
-    const std::uint64_t n = u64();
-    need(n);
-    std::string s = bytes.substr(pos, n);
-    pos += n;
-    return s;
-  }
-};
-
 }  // namespace
 
 std::string encode_result(const core::ExperimentResult& r) {
-  std::string out;
-  out.reserve(256 + r.failure_reason.size());
-  out.push_back(static_cast<char>(kResultCodecVersion));
-  put_bool(out, r.launched);
-  put_string(out, r.failure_reason);
-  put_double(out, r.queue_wait_s);
-  put_double(out, r.provisioning_hours);
-  put_double(out, r.iteration.assembly_s);
-  put_double(out, r.iteration.preconditioner_s);
-  put_double(out, r.iteration.solve_s);
-  put_double(out, r.iteration.total_s);
-  put_double(out, r.iteration.solver_iterations);
-  put_i64(out, r.hosts);
-  put_double(out, r.cost_per_iteration_usd);
-  put_double(out, r.est_cost_per_iteration_usd);
-  put_i64(out, r.spot_hosts);
-  put_i64(out, r.work_per_rank.local_tets);
-  put_i64(out, r.work_per_rank.local_rows);
-  put_i64(out, r.work_per_rank.local_nonzeros);
-  put_i64(out, r.work_per_rank.matrix_entries_assembled);
-  put_i64(out, r.work_per_rank.halo_doubles);
-  put_i64(out, r.work_per_rank.solver_iterations);
-  put_double(out, r.nodal_error);
-  put_bool(out, r.solver_converged);
-  put_i64(out, r.resil.attempts);
-  put_i64(out, r.resil.faults_injected);
-  put_i64(out, r.resil.launch_retries);
-  put_i64(out, r.resil.steps_wasted);
-  put_i64(out, r.resil.steps_recovered);
-  put_i64(out, r.resil.checkpoints_written);
-  put_double(out, r.resil.retry_delay_s);
-  put_double(out, r.resil.wasted_sim_s);
-  put_double(out, r.resil.wasted_cost_usd);
-  put_bool(out, r.resil.recovered);
-  put_i64(out, r.resil.final_ranks);
-  put_i64(out, r.rebroker.samples);
-  put_i64(out, r.rebroker.decisions);
-  put_i64(out, r.rebroker.migrations);
-  put_i64(out, r.rebroker.storms);
-  put_string(out, r.rebroker.final_platform);
-  put_double(out, r.rebroker.migration_wait_s);
-  put_double(out, r.rebroker.migration_cost_usd);
-  put_u64(out, r.rebroker.trail.size());
-  for (const auto& line : r.rebroker.trail) {
-    put_string(out, line);
-  }
-  put_i64(out, r.balance.checks);
-  put_i64(out, r.balance.rebalances);
-  put_double(out, r.balance.last_imbalance);
-  return out;
+  return support::encode_fields(kResultCodecVersion, r);
 }
 
 core::ExperimentResult decode_result(const std::string& bytes) {
-  Reader in{bytes};
-  in.need(1);
-  const unsigned char version =
-      static_cast<unsigned char>(bytes[in.pos++]);
-  HETERO_REQUIRE(version == kResultCodecVersion,
-                 "result codec: unsupported version " +
-                     std::to_string(version));
-  core::ExperimentResult r;
-  r.launched = in.boolean();
-  r.failure_reason = in.str();
-  r.queue_wait_s = in.f64();
-  r.provisioning_hours = in.f64();
-  r.iteration.assembly_s = in.f64();
-  r.iteration.preconditioner_s = in.f64();
-  r.iteration.solve_s = in.f64();
-  r.iteration.total_s = in.f64();
-  r.iteration.solver_iterations = in.f64();
-  r.hosts = in.i32();
-  r.cost_per_iteration_usd = in.f64();
-  r.est_cost_per_iteration_usd = in.f64();
-  r.spot_hosts = in.i32();
-  r.work_per_rank.local_tets = in.i64();
-  r.work_per_rank.local_rows = in.i64();
-  r.work_per_rank.local_nonzeros = in.i64();
-  r.work_per_rank.matrix_entries_assembled = in.i64();
-  r.work_per_rank.halo_doubles = in.i64();
-  r.work_per_rank.solver_iterations = in.i32();
-  r.nodal_error = in.f64();
-  r.solver_converged = in.boolean();
-  r.resil.attempts = in.i32();
-  r.resil.faults_injected = in.i32();
-  r.resil.launch_retries = in.i32();
-  r.resil.steps_wasted = in.i32();
-  r.resil.steps_recovered = in.i32();
-  r.resil.checkpoints_written = in.i32();
-  r.resil.retry_delay_s = in.f64();
-  r.resil.wasted_sim_s = in.f64();
-  r.resil.wasted_cost_usd = in.f64();
-  r.resil.recovered = in.boolean();
-  r.resil.final_ranks = in.i32();
-  r.rebroker.samples = in.i32();
-  r.rebroker.decisions = in.i32();
-  r.rebroker.migrations = in.i32();
-  r.rebroker.storms = in.i32();
-  r.rebroker.final_platform = in.str();
-  r.rebroker.migration_wait_s = in.f64();
-  r.rebroker.migration_cost_usd = in.f64();
-  const std::uint64_t trail_lines = in.u64();
-  r.rebroker.trail.reserve(trail_lines);
-  for (std::uint64_t i = 0; i < trail_lines; ++i) {
-    r.rebroker.trail.push_back(in.str());
-  }
-  r.balance.checks = in.i32();
-  r.balance.rebalances = in.i32();
-  r.balance.last_imbalance = in.f64();
-  HETERO_REQUIRE(in.pos == bytes.size(),
-                 "result codec: trailing bytes in payload");
-  return r;
+  return support::decode_fields<core::ExperimentResult>(
+      bytes, kResultCodecVersion, "result codec");
 }
 
 bool MemoResultStore::load(const std::string& key,
@@ -193,7 +29,13 @@ bool MemoResultStore::load(const std::string& key,
   if (!store_.lookup(kExperimentKeyPrefix + key, &bytes)) {
     return false;
   }
-  out = decode_result(bytes);
+  try {
+    out = decode_result(bytes);
+  } catch (const Error&) {
+    // Another codec version wrote it: a miss, never a misread. The engine
+    // recomputes, and the store keeps its first record for the key.
+    return false;
+  }
   return true;
 }
 

@@ -2,10 +2,11 @@
 
 /// \file result_codec.hpp
 /// Bit-exact binary codec for core::ExperimentResult — the value format of
-/// the experiment-level entries in the persistent memo store. Doubles are
-/// stored as their IEEE-754 bit patterns (little-endian), so a result
-/// replayed from disk is indistinguishable from the freshly computed one
-/// and every downstream number (predictions, response records) stays
+/// the experiment-level entries in the persistent memo store. It walks
+/// core::visit_fields(ExperimentResult) over support/byte_codec.hpp, so
+/// doubles are stored as their IEEE-754 bit patterns (little-endian): a
+/// result replayed from disk is indistinguishable from the freshly computed
+/// one and every downstream number (predictions, response records) stays
 /// byte-identical across a daemon restart.
 
 #include <string>
@@ -18,7 +19,8 @@ namespace hetero::svc {
 class MemoStore;
 
 /// Version tag of the encoding below; bumped on layout changes so a store
-/// written by an older build is simply missed, never misread.
+/// written by an older build is simply missed (MemoResultStore::load
+/// returns false), never misread.
 /// v2 appended the rebroker::Outcome block (online re-brokering ledger).
 /// v3 appended the lb::BalanceOutcome block (load-balancing ledger) — the
 /// multi-process campaign backend ships whole results through this codec,

@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "codec_fixtures.hpp"
 #include "core/campaign_engine.hpp"
 #include "core/experiment.hpp"
 #include "core/report.hpp"
@@ -165,6 +166,34 @@ TEST(CampaignEngine, CacheKeySeparatesFaultAndRecoveryConfigs) {
   degraded.faults.net_degrade_rate = 0.2;
   EXPECT_NE(experiment_cache_key(plain, 42),
             experiment_cache_key(degraded, 42));
+}
+
+// Memo stores and --proc-dir shard logs are keyed on this text, and the
+// supervisor's slot pinning and chaos draws hash it: it must never drift.
+TEST(CampaignEngine, CacheKeyGoldenTextOfDefaultExperiment) {
+  EXPECT_EQ(
+      experiment_cache_key(Experiment{}, 42),
+      "0|puma|1|20|1|0|3|0|1|4581421828931458171|4608083138725491507|0|0|0|"
+      "0|4613937818241073152|4633641066610819072|0|2|5|4629137466983448576|"
+      "4611686018427387904|4648488871632306176|0|0|4611686018427387904|0|"
+      "4609434218613702656|4629137466983448576|0|0|4608308318706860032|1|2|"
+      "4|repartition|4598175219545276416|4616189618054758400|"
+      "4602678819172646912|0|puma|0|4594572339843380019|0|1|0|1||42|42|");
+}
+
+TEST(CampaignEngine, CacheKeyGoldenTextWithEveryFieldSet) {
+  EXPECT_EQ(
+      experiment_cache_key(test::every_field_experiment(), ~0ull),
+      "1|ec2|125|17|2|1|9|1|4|4584592363069127000|4605110762971426980|"
+      "4576918229304087675|4581421828931458171|4585925428558828667|"
+      "4584304132692975288|4612811918334230528|4631530004285489152|2|5|7|"
+      "4623226492472524800|4609434218613702656|4651127699538968576|1|"
+      "4598175219545276416|4612811918334230528|4591870180066957722|"
+      "4610560118520545280|4626322717216342016|1|1|4608533498688228557|2|3|"
+      "6|diffuse|4596373779694328218|4617315517961601024|"
+      "4600877379321698714|1|lagrange|27|4596373779694328218|"
+      "4608308318706860032|2|4660134898793709568|3|golden|"
+      "-9223372036854775517|-1|");
 }
 
 TEST(CampaignEngine, FaultyDirectBatchIsIdenticalAtAnyJobsLevel) {

@@ -17,11 +17,13 @@
 #include <string>
 #include <vector>
 
+#include "codec_fixtures.hpp"
 #include "core/campaign_engine.hpp"
 #include "core/experiment.hpp"
 #include "proc/chaos.hpp"
 #include "proc/supervisor.hpp"
 #include "proc/wire.hpp"
+#include "prop_util.hpp"
 #include "support/error.hpp"
 #include "support/record_log.hpp"
 #include "svc/result_codec.hpp"
@@ -194,8 +196,6 @@ TEST(Wire, ExperimentCodecRoundTripsEveryField) {
   e.ec2_placement_groups = 4;
   e.cross_group_penalty = 0.031;
   e.ec2_spot_bid_usd = 0.77;
-  e.trace_path = "/tmp/trace.json";
-  e.metrics_path = "/tmp/metrics.json";
   e.faults.rank_crash_rate = 0.01;
   e.faults.launch_failure_rate = 0.02;
   e.faults.net_degrade_rate = 0.03;
@@ -230,8 +230,6 @@ TEST(Wire, ExperimentCodecRoundTripsEveryField) {
   EXPECT_EQ(d.ec2_placement_groups, e.ec2_placement_groups);
   EXPECT_DOUBLE_EQ(d.cross_group_penalty, e.cross_group_penalty);
   EXPECT_DOUBLE_EQ(d.ec2_spot_bid_usd, e.ec2_spot_bid_usd);
-  EXPECT_EQ(d.trace_path, e.trace_path);
-  EXPECT_EQ(d.metrics_path, e.metrics_path);
   EXPECT_DOUBLE_EQ(d.faults.rank_crash_rate, e.faults.rank_crash_rate);
   EXPECT_DOUBLE_EQ(d.faults.reclaim_storm_rate, e.faults.reclaim_storm_rate);
   EXPECT_EQ(d.recovery.kind, e.recovery.kind);
@@ -249,15 +247,84 @@ TEST(Wire, ExperimentCodecRoundTripsEveryField) {
   // The canonical cache key sees the decoded copy as the same experiment.
   EXPECT_EQ(core::experiment_cache_key(d, 42),
             core::experiment_cache_key(e, 42));
+  // Output sinks never leave the process: such runs are not shippable.
+  core::Experiment traced = e;
+  traced.trace_path = "/tmp/trace.json";
+  EXPECT_THROW(encode_experiment(traced), Error);
+  core::Experiment metered = e;
+  metered.metrics_path = "/tmp/metrics.json";
+  EXPECT_THROW(encode_experiment(metered), Error);
+}
+
+// Every field of core::visit_fields reaches the payload and the cache key
+// and round-trips, with no hand-kept list of fields to forget one in.
+TEST(Wire, ExperimentCodecAndKeyChangeWithEveryField) {
+  const core::Experiment base = test::every_field_experiment();
+  const auto fields = test::field_bytes(base);
+  const auto defaults = test::field_bytes(core::Experiment{});
+  const std::string payload = encode_experiment(base);
+  const std::string key = core::experiment_cache_key(base, 42);
+  for (std::size_t i = 0; i < fields.size(); ++i) {
+    SCOPED_TRACE("field " + std::to_string(i));
+    EXPECT_NE(fields[i], defaults[i]);  // the golden fixture covers it
+    const core::Experiment changed = test::with_field_perturbed(base, i);
+    const auto changed_fields = test::field_bytes(changed);
+    for (std::size_t j = 0; j < fields.size(); ++j) {
+      EXPECT_EQ(changed_fields[j] == fields[j], j != i) << "field " << j;
+    }
+    const std::string bytes = encode_experiment(changed);
+    EXPECT_NE(bytes, payload);
+    const core::Experiment decoded = decode_experiment(bytes);
+    EXPECT_EQ(test::field_bytes(decoded), changed_fields);
+    EXPECT_EQ(encode_experiment(decoded), bytes);
+    EXPECT_NE(core::experiment_cache_key(changed, 42), key);
+  }
 }
 
 TEST(Wire, ExperimentCodecRejectsVersionMismatchAndGarbage) {
   core::Experiment e;
   auto bytes = encode_experiment(e);
+  const std::string good = bytes;
   bytes[0] = static_cast<char>(kExperimentCodecVersion + 1);
   EXPECT_THROW(decode_experiment(bytes), Error);
   EXPECT_THROW(decode_experiment("short"), Error);
   EXPECT_THROW(decode_experiment(""), Error);
+  EXPECT_THROW(decode_experiment(good + "x"), Error);
+
+  // Crafted payloads. Layout of the default experiment: version [0],
+  // app [1,9), platform length [9,17) + "puma" [17,21), ranks [21,29), ...,
+  // ec2_spot_mix (one bool byte) at 61.
+  ASSERT_EQ(good.substr(17, 4), "puma");
+  ASSERT_EQ(good[61], '\0');
+  // A string length of 2^64-1 must not wrap the reader's bounds check. A
+  // reader that adds the length to its position steps back one byte, takes
+  // the rest of the payload as the platform and re-reads it as the later
+  // fields: this payload then decodes with ranks = 255.
+  const std::string wrapped = good.substr(0, 9) + std::string(8, '\xff') +
+                              std::string(7, '\0') + good.substr(29);
+  EXPECT_THROW(decode_experiment(wrapped), Error);
+  EXPECT_THROW(decode_experiment(test::with_word(good, 9, 1ull << 40)), Error);
+  // An int field holding 2^32+8 must not narrow silently to 8.
+  EXPECT_THROW(decode_experiment(test::with_word(good, 21, (1ull << 32) + 8)),
+               Error);
+  EXPECT_THROW(decode_experiment(test::with_word(good, 21, 1ull << 63)), Error);
+  // A bool byte other than 0 or 1 would re-encode differently.
+  std::string bad_bool = good;
+  bad_bool[61] = '\2';
+  EXPECT_THROW(decode_experiment(bad_bool), Error);
+}
+
+// 20,000 seeded mutants of a payload with every field set: each one either
+// raises hetero::Error or decodes to a value that re-encodes to its bytes.
+TEST(Wire, ExperimentCodecSurvivesSeededMutants) {
+  const auto tally = test::run_mutants(
+      0x5eed0e1, encode_experiment(test::every_field_experiment()), 20000,
+      [](const std::string& b) { return decode_experiment(b); },
+      [](const core::Experiment& e) { return encode_experiment(e); });
+  EXPECT_EQ(tally.misread, 0);
+  EXPECT_EQ(tally.foreign, 0);
+  EXPECT_GT(tally.rejected, 0);
+  EXPECT_GT(tally.decoded, 0);
 }
 
 // --- record log under fork-level contention ----------------------------
@@ -275,7 +342,7 @@ TEST(RecordLog, TwoProcessesAppendingLandWholeRecords) {
       support::RecordLog log(f.path);
       for (int i = 0; i < kRecords; ++i) {
         const std::string key =
-            "w" + std::to_string(w) + ":" + std::to_string(i);
+            std::string("w") + std::to_string(w) + ":" + std::to_string(i);
         log.append(key, std::string(64, static_cast<char>('a' + w)));
       }
       log.flush();

@@ -2,17 +2,22 @@
 
 /// \file prop_util.hpp
 /// Seed-deterministic generators and oracles for the property-based
-/// numeric tests (la_prop_test.cpp). Every case is reproduced exactly by
-/// its case number: the generator is a self-contained splitmix64, so a
-/// failure report like "case 37" replays identically on any platform,
-/// independent of the standard library's distribution implementations.
+/// numeric tests (la_prop_test.cpp), and byte mutators for the codec
+/// mutation tests. Every case is reproduced exactly by its case number:
+/// the generator is a self-contained splitmix64, so a failure report like
+/// "case 37" replays identically on any platform, independent of the
+/// standard library's distribution implementations.
 
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <exception>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "la/csr_matrix.hpp"
+#include "support/error.hpp"
 
 namespace hetero::test {
 
@@ -128,6 +133,97 @@ inline std::uint64_t ulp_distance(double a, double b) {
   const std::int64_t ia = to_ordered(a);
   const std::int64_t ib = to_ordered(b);
   return static_cast<std::uint64_t>(ia > ib ? ia - ib : ib - ia);
+}
+
+// --- byte mutators ------------------------------------------------------
+// Each takes a non-empty payload and returns a copy with one seeded defect.
+
+inline std::string flip_bit(PropRng& rng, std::string bytes) {
+  const std::uint64_t bit = rng.next_u64() % (bytes.size() * 8);
+  bytes[bit / 8] = static_cast<char>(bytes[bit / 8] ^ (1 << (bit % 8)));
+  return bytes;
+}
+
+/// A strict prefix (possibly empty).
+inline std::string truncate_bytes(PropRng& rng, std::string bytes) {
+  bytes.resize(rng.next_u64() % bytes.size());
+  return bytes;
+}
+
+inline std::string overwrite_byte(PropRng& rng, std::string bytes) {
+  bytes[rng.next_u64() % bytes.size()] = static_cast<char>(rng.next_u64());
+  return bytes;
+}
+
+/// `bytes` with the little-endian 8-byte word at `at` replaced by `word`.
+inline std::string with_word(std::string bytes, std::size_t at,
+                             std::uint64_t word) {
+  for (int i = 0; i < 8; ++i) {
+    bytes[at + static_cast<std::size_t>(i)] =
+        static_cast<char>(word >> (8 * i));
+  }
+  return bytes;
+}
+
+/// Overwrites the 8-byte word at a random offset with a length, count or
+/// integer lie: 2^64-1, 2^63, 2^32+3, 2^40 or a random word.
+inline std::string lie_word(PropRng& rng, std::string bytes) {
+  if (bytes.size() < 8) {
+    return overwrite_byte(rng, bytes);
+  }
+  constexpr std::uint64_t kLies[] = {~0ull, 1ull << 63, (1ull << 32) + 3,
+                                     1ull << 40};
+  const std::uint64_t pick = rng.next_u64() % 5;
+  const std::uint64_t word = pick < 4 ? kLies[pick] : rng.next_u64();
+  const std::size_t at = rng.next_u64() % (bytes.size() - 7);
+  return with_word(std::move(bytes), at, word);
+}
+
+/// One of the four mutators above, chosen by the generator.
+inline std::string mutate(PropRng& rng, const std::string& bytes) {
+  switch (rng.next_u64() % 4) {
+    case 0:
+      return flip_bit(rng, bytes);
+    case 1:
+      return truncate_bytes(rng, bytes);
+    case 2:
+      return overwrite_byte(rng, bytes);
+    default:
+      return lie_word(rng, bytes);
+  }
+}
+
+/// How a codec fared against a batch of mutants.
+struct MutantTally {
+  int rejected = 0;  ///< raised hetero::Error
+  int decoded = 0;   ///< decoded and re-encoded to the same bytes
+  int misread = 0;   ///< decoded, but re-encoded to different bytes
+  int foreign = 0;   ///< raised something other than hetero::Error
+};
+
+/// Feeds `count` seeded mutants of `payload` through `decode`. The codec
+/// contract: every mutant either raises hetero::Error or decodes to a value
+/// that `encode` turns back into exactly the mutant's bytes.
+template <class Decode, class Encode>
+MutantTally run_mutants(std::uint64_t seed, const std::string& payload,
+                        int count, Decode decode, Encode encode) {
+  PropRng rng(seed);
+  MutantTally tally;
+  for (int i = 0; i < count; ++i) {
+    const std::string mutant = mutate(rng, payload);
+    try {
+      if (encode(decode(mutant)) == mutant) {
+        ++tally.decoded;
+      } else {
+        ++tally.misread;
+      }
+    } catch (const Error&) {
+      ++tally.rejected;
+    } catch (const std::exception&) {
+      ++tally.foreign;
+    }
+  }
+  return tally;
 }
 
 }  // namespace hetero::test

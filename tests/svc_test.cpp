@@ -16,6 +16,9 @@
 #include <thread>
 #include <vector>
 
+#include "codec_fixtures.hpp"
+#include "core/campaign_engine.hpp"
+#include "prop_util.hpp"
 #include "support/error.hpp"
 #include "svc/memo_store.hpp"
 #include "svc/protocol.hpp"
@@ -121,6 +124,28 @@ TEST(SvcProtocol, CacheKeySeparatesEveryAnswerField) {
             key);
 }
 
+// The advisory daemon's `req|` store entries are keyed on this text.
+TEST(SvcProtocol, CacheKeyGoldenText) {
+  const auto base = svc::parse_request_line(small_request(1));
+  EXPECT_EQ(svc::request_cache_key(base, 42),
+            "req-v1|0|0|8|20|10|-|-|4602678819172646912|-|1|effective|0|0|42");
+  svc::SvcRequest rb;
+  rb.kind = svc::SvcRequest::Kind::kRebroker;
+  rb.job.ranks = 64;
+  rb.rb.steps = 100;
+  rb.rb.done = 40;
+  rb.rb.observed_s = 0.1 + 0.2;
+  rb.rb.storms = 2;
+  rb.rb.hysteresis = 0.2;
+  rb.rb.deadline_s = 3600.0;
+  rb.rb.migrate_budget_usd = 1.25;
+  rb.rb.target_ranks = 27;
+  EXPECT_EQ(svc::request_cache_key(rb, 42),
+            "req-v1|rb|0|64|20|ec2|puma|100|40|4599075939470750516|2|"
+            "4596373779694328218|4660134898793709568|4608308318706860032|27|"
+            "42");
+}
+
 TEST(SvcProtocol, FinalizeSubstitutesTheIdToken) {
   EXPECT_EQ(svc::finalize_line(R"({"id":"@ID@","x":1})", 17),
             R"({"id":17,"x":1})");
@@ -177,14 +202,115 @@ TEST(SvcResultCodec, RoundTripsBitExactly) {
   EXPECT_EQ(failed2.failure_reason, failed.failure_reason);
 }
 
+// HMS1 `exp|` values written by earlier builds must replay warm: the bytes
+// of a result with every field set are pinned (kResultCodecVersion 3).
+TEST(SvcResultCodec, GoldenBytesOfEveryFieldResult) {
+  const std::string bytes = svc::encode_result(test::every_field_result());
+  EXPECT_EQ(bytes.size(), 433u);
+  EXPECT_EQ(test::fnv1a64(bytes), 0xcd3375d4f9901a8dull);
+}
+
 TEST(SvcResultCodec, RejectsMalformedPayloads) {
   core::ExperimentResult r;
   std::string bytes = svc::encode_result(r);
+  const std::string good = bytes;
   EXPECT_THROW(svc::decode_result(bytes + "x"), Error);  // trailing junk
   EXPECT_THROW(svc::decode_result(bytes.substr(0, bytes.size() - 3)), Error);
   bytes[0] = 99;  // unknown version
   EXPECT_THROW(svc::decode_result(bytes), Error);
   EXPECT_THROW(svc::decode_result(""), Error);
+
+  // Crafted payloads. Layout of the default result: version [0], launched
+  // (one bool byte) [1], failure_reason length [2,10) and no bytes, five
+  // doubles up to 66, hosts [66,74), ...; the trail count sits just before
+  // the balance ledger's three words.
+  const std::size_t trail_at = good.size() - 8 - 24;
+  ASSERT_EQ(test::with_word(good, trail_at, 0), good);
+  // A string length of 2^64-1 must not wrap the reader's bounds check. A
+  // reader that adds the length to its position steps back one byte and
+  // re-reads the failure reason's bytes as the later fields.
+  const std::string wrapped = good.substr(0, 2) + std::string(8, '\xff') +
+                              std::string(7, '\0') + good.substr(18);
+  EXPECT_THROW(svc::decode_result(wrapped), Error);
+  // An int field holding 2^32+8 must not narrow silently to 8.
+  EXPECT_THROW(svc::decode_result(test::with_word(good, 66, (1ull << 32) + 8)),
+               Error);
+  // Huge string counts must be rejected before anything is reserved.
+  EXPECT_THROW(svc::decode_result(test::with_word(good, trail_at, 1ull << 40)),
+               Error);
+  EXPECT_THROW(svc::decode_result(test::with_word(good, trail_at, ~0ull)),
+               Error);
+  // A bool byte other than 0 or 1 would re-encode differently.
+  std::string bad_bool = good;
+  bad_bool[1] = '\2';
+  EXPECT_THROW(svc::decode_result(bad_bool), Error);
+}
+
+// Every field of core::visit_fields reaches the payload and round-trips,
+// with no hand-kept list of fields to forget one in.
+TEST(SvcResultCodec, ChangesWithEveryField) {
+  const core::ExperimentResult base = test::every_field_result();
+  const auto fields = test::field_bytes(base);
+  const auto defaults = test::field_bytes(core::ExperimentResult{});
+  const std::string payload = svc::encode_result(base);
+  for (std::size_t i = 0; i < fields.size(); ++i) {
+    SCOPED_TRACE("field " + std::to_string(i));
+    EXPECT_NE(fields[i], defaults[i]);  // the golden fixture covers it
+    const core::ExperimentResult changed = test::with_field_perturbed(base, i);
+    const auto changed_fields = test::field_bytes(changed);
+    for (std::size_t j = 0; j < fields.size(); ++j) {
+      EXPECT_EQ(changed_fields[j] == fields[j], j != i) << "field " << j;
+    }
+    const std::string bytes = svc::encode_result(changed);
+    EXPECT_NE(bytes, payload);
+    const core::ExperimentResult decoded = svc::decode_result(bytes);
+    EXPECT_EQ(test::field_bytes(decoded), changed_fields);
+    EXPECT_EQ(svc::encode_result(decoded), bytes);
+  }
+}
+
+// 20,000 seeded mutants of a payload with every field set: each one either
+// raises hetero::Error or decodes to a value that re-encodes to its bytes.
+TEST(SvcResultCodec, SurvivesSeededMutants) {
+  const auto tally = test::run_mutants(
+      0x5eed0e2, svc::encode_result(test::every_field_result()), 20000,
+      [](const std::string& b) { return svc::decode_result(b); },
+      [](const core::ExperimentResult& r) { return svc::encode_result(r); });
+  EXPECT_EQ(tally.misread, 0);
+  EXPECT_EQ(tally.foreign, 0);
+  EXPECT_GT(tally.rejected, 0);
+  EXPECT_GT(tally.decoded, 0);
+}
+
+// A store record another codec version wrote is missed, never misread: the
+// engine recomputes instead of failing, in single runs and in batches.
+TEST(SvcResultCodec, UnreadableStoredRecordIsAMiss) {
+  TempFile log("svc_memo_stale_codec.log");
+  core::Experiment e;
+  e.ranks = 8;
+  const std::string key = core::experiment_cache_key(e, 42);
+  const std::string fresh =
+      svc::encode_result(core::ExperimentRunner(42).run(e));
+  std::string stale = fresh;
+  stale.resize(stale.size() - 24);  // v2 had no load-balancing ledger
+  stale[0] = 2;
+  svc::MemoStore store(log.path);
+  store.append("exp|" + key, stale);
+  svc::MemoResultStore adapter(store);
+  core::ExperimentResult out;
+  EXPECT_FALSE(adapter.load(key, out));
+
+  core::CampaignEngineOptions opt;
+  opt.jobs = 1;
+  opt.result_store = &adapter;
+  core::CampaignEngine single(42, opt);
+  EXPECT_EQ(svc::encode_result(single.run(e)), fresh);
+  EXPECT_EQ(single.stats().store_hits, 0u);
+  core::CampaignEngine batch(42, opt);
+  for (const auto& r : batch.run_batch({e, e})) {
+    EXPECT_EQ(svc::encode_result(r), fresh);
+  }
+  EXPECT_EQ(batch.stats().store_hits, 0u);
 }
 
 // --- memo store -------------------------------------------------------
