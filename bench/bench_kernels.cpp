@@ -108,7 +108,7 @@ void bench_spmv(bench::BenchOutput& out, const CliArgs& args) {
 
   auto run = [&](la::KernelMode mode) {
     la::set_kernel_mode(mode);
-    a.multiply(x, y);  // warm (and, for SELL, build the mirror)
+    a.multiply(x, y);  // warm
     return best_of(reps, [&] {
              for (int i = 0; i < iters; ++i) {
                a.multiply(x, y);
@@ -125,14 +125,11 @@ void bench_spmv(bench::BenchOutput& out, const CliArgs& args) {
   const double flops = (la::spmv_work().flops() - f0) / calls;
   const double bytes = (la::spmv_work().bytes() - b0) / calls;
 
-#ifdef HETERO_SPMV_SELL
-  const char* layout = "sell";
-#else
-  const char* layout = "csr";
-#endif
+  // CSR is the only layout; the column stays because
+  // bench/baselines/kernels.json matches its rows on it.
   Table table({"layout", "rows", "nnz", "ref[s]", "fast[s]", "speedup",
                "flops", "bytes", "intensity"});
-  table.add_row({layout, fmt_int(a.rows()),
+  table.add_row({"csr", fmt_int(a.rows()),
                  fmt_int(static_cast<std::int64_t>(a.nonzeros())), fmt(ref_s),
                  fmt(fast_s), fmt(ref_s / fast_s), fmt(flops), fmt(bytes),
                  fmt(flops / bytes)});

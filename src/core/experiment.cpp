@@ -437,19 +437,20 @@ ExperimentResult ExperimentRunner::run_direct(
       if (storm && s == *storm && comm.rank() == 0) {
         obs::trace_instant("spot_reclaim", "resil", comm.now(), "step",
                            static_cast<double>(s));
-        throw resil::SpotReclaim(s);
+        throw resil::SpotReclaim(s, comm.now());
       }
       if (crash && s == crash->step && comm.rank() == crash->rank) {
         obs::trace_instant("rank_crash", "resil", comm.now(), "step",
                            static_cast<double>(s));
-        throw resil::InjectedFault(comm.rank(), s);
+        throw resil::InjectedFault(comm.rank(), s, comm.now());
       }
       const apps::StepRecord record = solver.step();
       if (comm.rank() == 0) {
         records[static_cast<std::size_t>(s)] = record;
       }
-      if (use_ckpt && (s + 1) % policy.checkpoint_every == 0 &&
-          s + 1 < steps) {
+      // Collective checkpoint after step s; rank 0 books it and marks it on
+      // the trace as `name`.
+      auto checkpoint = [&](const char* name, const char* category) {
         io::save_solver_checkpoint(comm, state_now(solver),
                                    state_prev(solver), solver.current_time(),
                                    s + 1, ckpt_path);
@@ -458,9 +459,13 @@ ExperimentResult ExperimentRunner::run_direct(
           ckpt_step = s + 1;
           ++rstats.checkpoints_written;
           resil_metrics().checkpoints.increment();
-          obs::trace_instant("checkpoint", "resil", comm.now(), "step",
+          obs::trace_instant(name, category, comm.now(), "step",
                              static_cast<double>(s + 1));
         }
+      };
+      if (use_ckpt && (s + 1) % policy.checkpoint_every == 0 &&
+          s + 1 < steps) {
+        checkpoint("checkpoint", "resil");
       }
       if (rb_on) {
         // timing.total_s is an allreduced maximum — identical on every
@@ -472,17 +477,9 @@ ExperimentResult ExperimentRunner::run_direct(
         const bool migrate = rank_ctl[static_cast<std::size_t>(comm.rank())]
                                  .observe_step(s, record.timing.total_s, cost_s);
         if (migrate && s + 1 < steps) {
-          io::save_solver_checkpoint(comm, state_now(solver),
-                                     state_prev(solver), solver.current_time(),
-                                     s + 1, ckpt_path);
+          checkpoint("migration_checkpoint", "rebroker");
           if (comm.rank() == 0) {
-            have_checkpoint = true;
-            ckpt_step = s + 1;
-            ++rstats.checkpoints_written;
-            resil_metrics().checkpoints.increment();
             migration_pending = true;
-            obs::trace_instant("migration_checkpoint", "rebroker", comm.now(),
-                               "step", static_cast<double>(s + 1));
           }
           return;
         }
@@ -494,17 +491,9 @@ ExperimentResult ExperimentRunner::run_direct(
             rank_lb[static_cast<std::size_t>(comm.rank())].observe(
                 s, std::span<const double>(record.rank_step_s));
         if (rebalance && s + 1 < steps) {
-          io::save_solver_checkpoint(comm, state_now(solver),
-                                     state_prev(solver), solver.current_time(),
-                                     s + 1, ckpt_path);
+          checkpoint("rebalance_checkpoint", "lb");
           if (comm.rank() == 0) {
-            have_checkpoint = true;
-            ckpt_step = s + 1;
-            ++rstats.checkpoints_written;
-            resil_metrics().checkpoints.increment();
             rebalance_pending = true;
-            obs::trace_instant("rebalance_checkpoint", "lb", comm.now(),
-                               "step", static_cast<double>(s + 1));
           }
           return;
         }
@@ -657,7 +646,7 @@ ExperimentResult ExperimentRunner::run_direct(
       break;  // attempt survived
     } catch (const resil::InjectedFault& fault) {
       ++rstats.faults_injected;
-      const double dead_s = runtime.elapsed_sim_seconds();
+      const double dead_s = fault.now_s();
       rstats.wasted_sim_s += dead_s;
       rstats.wasted_cost_usd += cur->cost_usd(ranks, dead_s);
       rstats.steps_wasted += std::max(0, fault.step() - resume_step());

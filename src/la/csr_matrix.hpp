@@ -9,12 +9,7 @@
 /// scalar row loop; the fast path runs four rows in lockstep so the four
 /// independent accumulator chains overlap in the pipeline. Each row's
 /// products are still added in ascending-slot order, so both paths produce
-/// bit-identical results. Configuring with -DHETERO_SPMV_LAYOUT=sell
-/// additionally builds a SELL-C-sigma mirror of the matrix (chunked,
-/// column-major, rows sorted by length within a sigma window) that the fast
-/// path multiplies from; the mirror's values refresh lazily whenever
-/// values_mut() has been called (a version counter tracks mutations by the
-/// assembly replay and Dirichlet elimination).
+/// bit-identical results.
 
 #include <cstdint>
 #include <span>
@@ -47,12 +42,9 @@ class CsrMatrix {
   std::span<const std::int64_t> row_ptr() const { return row_ptr_; }
   std::span<const int> col_idx() const { return col_idx_; }
   std::span<const double> values() const { return values_; }
-  /// Mutable values. Each call marks the values as modified so layout
-  /// mirrors (SELL) refresh before the next multiply.
-  std::span<double> values_mut() {
-    ++values_version_;
-    return values_;
-  }
+  /// Mutable values (the assembly replay and Dirichlet elimination
+  /// rewrite them in place; the sparsity pattern is fixed).
+  std::span<double> values_mut() { return values_; }
 
   /// y = A x. `x` must have cols() entries, `y` rows() entries.
   void multiply(std::span<const double> x, std::span<double> y) const;
@@ -86,28 +78,6 @@ class CsrMatrix {
   std::vector<std::int64_t> row_ptr_;
   std::vector<int> col_idx_;
   std::vector<double> values_;
-  std::uint64_t values_version_ = 0;
-
-#ifdef HETERO_SPMV_SELL
-  /// SELL-C-sigma mirror, built on first fast-path multiply. `rows` maps
-  /// each chunk lane back to its CSR row (-1 for padding lanes); values
-  /// re-pack whenever values_version changes.
-  struct SellMirror {
-    bool built = false;
-    std::uint64_t packed_version = 0;
-    int chunk_count = 0;
-    std::vector<int> rows;             // chunk_count * C lane -> CSR row
-    std::vector<int> lane_len;         // entries per lane
-    std::vector<std::int64_t> chunk_ptr;  // offsets into col/val
-    std::vector<int> col;
-    std::vector<double> val;
-  };
-  mutable SellMirror sell_;
-  void sell_build() const;
-  void sell_pack_values() const;
-  void sell_multiply(std::span<const double> x, std::span<double> y,
-                     bool accumulate) const;
-#endif
 };
 
 }  // namespace hetero::la

@@ -8,12 +8,8 @@
 /// state across cache-line-padded slots: each thread picks a shard once
 /// (round-robin at first use) and updates it with relaxed atomics — no
 /// contention, no locks, and direct-mode timings are not perturbed. Reads
-/// aggregate over shards and are not meant for hot paths.
-///
-/// Recording obeys a process-global enable flag (`set_metrics_enabled`,
-/// default on — a relaxed load and one predictable branch per update).
-/// Compiling with `-DHETERO_OBS=OFF` defines HETERO_OBS_DISABLED and turns
-/// every update into an empty inline function.
+/// aggregate over shards and are not meant for hot paths. Recording is
+/// always on.
 ///
 /// Registry lookups take a mutex; instrument hot loops by hoisting the
 /// `Counter&` out of the loop, as the references are stable for the
@@ -31,8 +27,6 @@
 namespace hetero::obs {
 
 namespace detail {
-
-inline std::atomic<bool> g_metrics_enabled{true};
 
 constexpr std::size_t kShards = 16;
 
@@ -57,31 +51,12 @@ void atomic_update_max(std::atomic<double>& slot, double value);
 
 }  // namespace detail
 
-/// True when metric updates are recorded.
-inline bool metrics_enabled() {
-#ifdef HETERO_OBS_DISABLED
-  return false;
-#else
-  return detail::g_metrics_enabled.load(std::memory_order_relaxed);
-#endif
-}
-
-inline void set_metrics_enabled(bool enabled) {
-  detail::g_metrics_enabled.store(enabled, std::memory_order_relaxed);
-}
-
 /// Monotonically increasing sum (bytes, iterations, dollars, seconds).
 class Counter {
  public:
   void add(double delta) {
-#ifndef HETERO_OBS_DISABLED
-    if (metrics_enabled()) {
-      shards_[detail::this_thread_shard()].value.fetch_add(
-          delta, std::memory_order_relaxed);
-    }
-#else
-    (void)delta;
-#endif
+    shards_[detail::this_thread_shard()].value.fetch_add(
+        delta, std::memory_order_relaxed);
   }
   void increment() { add(1.0); }
 
@@ -95,15 +70,7 @@ class Counter {
 /// Last-written value (assembly sizes, current prices).
 class Gauge {
  public:
-  void set(double value) {
-#ifndef HETERO_OBS_DISABLED
-    if (metrics_enabled()) {
-      value_.store(value, std::memory_order_relaxed);
-    }
-#else
-    (void)value;
-#endif
-  }
+  void set(double value) { value_.store(value, std::memory_order_relaxed); }
   double value() const { return value_.load(std::memory_order_relaxed); }
   void reset() { value_.store(0.0, std::memory_order_relaxed); }
 
@@ -115,22 +82,16 @@ class Gauge {
 class Histogram {
  public:
   void observe(double value) {
-#ifndef HETERO_OBS_DISABLED
-    if (metrics_enabled()) {
-      auto& shard = shards_[detail::this_thread_shard()];
-      if (shard.count.fetch_add(1, std::memory_order_relaxed) == 0) {
-        // First sample in this shard seeds min/max.
-        shard.min.store(value, std::memory_order_relaxed);
-        shard.max.store(value, std::memory_order_relaxed);
-      } else {
-        detail::atomic_update_min(shard.min, value);
-        detail::atomic_update_max(shard.max, value);
-      }
-      shard.sum.fetch_add(value, std::memory_order_relaxed);
+    auto& shard = shards_[detail::this_thread_shard()];
+    if (shard.count.fetch_add(1, std::memory_order_relaxed) == 0) {
+      // First sample in this shard seeds min/max.
+      shard.min.store(value, std::memory_order_relaxed);
+      shard.max.store(value, std::memory_order_relaxed);
+    } else {
+      detail::atomic_update_min(shard.min, value);
+      detail::atomic_update_max(shard.max, value);
     }
-#else
-    (void)value;
-#endif
+    shard.sum.fetch_add(value, std::memory_order_relaxed);
   }
 
   std::uint64_t count() const;

@@ -10,9 +10,7 @@
 /// Recording is disabled unless a recorder is installed with
 /// `set_current_trace()`; every instrumentation site starts with a single
 /// relaxed pointer load, so the cost when tracing is off is one predictable
-/// branch. Configuring CMake with `-DHETERO_OBS=OFF` defines
-/// `HETERO_OBS_DISABLED`, which turns `current_trace()` into a constant
-/// `nullptr` and lets the compiler delete the instrumentation entirely.
+/// branch.
 ///
 /// Threading contract: each rank writes only its own buffer (the rank id is
 /// bound per thread, by `simmpi::Runtime::run` on every switch to a rank's
@@ -106,14 +104,9 @@ inline void set_current_trace(TraceRecorder* recorder) {
   detail::g_trace.store(recorder, std::memory_order_release);
 }
 
-/// The installed recorder, or nullptr when tracing is off (always nullptr
-/// when compiled with HETERO_OBS_DISABLED).
+/// The installed recorder, or nullptr when tracing is off.
 inline TraceRecorder* current_trace() {
-#ifdef HETERO_OBS_DISABLED
-  return nullptr;
-#else
   return detail::g_trace.load(std::memory_order_acquire);
-#endif
 }
 
 /// Binds the calling thread to a rank row. simmpi::Runtime::run does this

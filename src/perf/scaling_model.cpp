@@ -8,6 +8,12 @@
 
 namespace hetero::perf {
 
+AppKind app_by_name(const std::string& name) {
+  if (name == "rd") return AppKind::kReactionDiffusion;
+  if (name == "ns") return AppKind::kNavierStokes;
+  throw Error("unknown app '" + name + "' (expected rd|ns)");
+}
+
 ModelConfig rd_model() {
   ModelConfig c;
   c.app = AppKind::kReactionDiffusion;

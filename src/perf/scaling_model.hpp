@@ -18,6 +18,7 @@
 /// degrade everywhere — the paper's central qualitative finding.
 
 #include <span>
+#include <string>
 
 #include "apps/app_common.hpp"
 #include "netsim/topology.hpp"
@@ -25,6 +26,9 @@
 namespace hetero::perf {
 
 enum class AppKind { kReactionDiffusion, kNavierStokes };
+
+/// Parses "rd" | "ns" (CLI spelling); throws hetero::Error.
+AppKind app_by_name(const std::string& name);
 
 /// Knobs of the projection; defaults reproduce the paper's setup.
 struct ModelConfig {

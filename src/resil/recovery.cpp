@@ -32,18 +32,18 @@ double backoff_delay_s(const RecoveryPolicy& policy, int retry) {
   return std::min(policy.backoff_cap_s, delay);
 }
 
-InjectedFault::InjectedFault(int rank, int step)
-    : Error("injected fault: rank " + std::to_string(rank) +
-            " crashed at step " + std::to_string(step)),
-      rank_(rank),
-      step_(step) {}
+InjectedFault::InjectedFault(int rank, int step, double now_s)
+    : InjectedFault("injected fault: rank " + std::to_string(rank) +
+                        " crashed at step " + std::to_string(step),
+                    rank, step, now_s) {}
 
-InjectedFault::InjectedFault(const std::string& message, int rank, int step)
-    : Error(message), rank_(rank), step_(step) {}
+InjectedFault::InjectedFault(const std::string& message, int rank, int step,
+                             double now_s)
+    : Error(message), rank_(rank), step_(step), now_s_(now_s) {}
 
-SpotReclaim::SpotReclaim(int step)
+SpotReclaim::SpotReclaim(int step, double now_s)
     : InjectedFault("spot reclaim: storm took the allocation at step " +
                         std::to_string(step),
-                    -1, step) {}
+                    -1, step, now_s) {}
 
 }  // namespace hetero::resil

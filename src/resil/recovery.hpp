@@ -62,16 +62,21 @@ struct RecoveryStats {
 /// rethrows it on the launching thread after aborting the peers.
 class InjectedFault : public Error {
  public:
-  InjectedFault(int rank, int step);
+  InjectedFault(int rank, int step, double now_s);
   int rank() const { return rank_; }
   int step() const { return step_; }
+  /// The throwing rank's virtual clock: how long the attempt ran before it
+  /// died. Unlike the peers' clocks at the abort, it does not depend on
+  /// how far they got on other host threads.
+  double now_s() const { return now_s_; }
 
  protected:
-  InjectedFault(const std::string& message, int rank, int step);
+  InjectedFault(const std::string& message, int rank, int step, double now_s);
 
  private:
   int rank_;
   int step_;
+  double now_s_;
 };
 
 /// A spot-reclaim storm taking the whole allocation at the start of `step`
@@ -80,7 +85,7 @@ class InjectedFault : public Error {
 /// rank crash. Runtime::run preserves the concrete type via exception_ptr.
 class SpotReclaim : public InjectedFault {
  public:
-  explicit SpotReclaim(int step);
+  SpotReclaim(int step, double now_s);
 };
 
 }  // namespace hetero::resil

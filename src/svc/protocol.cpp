@@ -113,11 +113,7 @@ SvcRequest parse_request(const obs::Json& record) {
       HETERO_REQUIRE(!req.client.empty(),
                      "svc request: client must be non-empty");
     } else if (key == "app") {
-      const std::string& app = require_string(value, key);
-      HETERO_REQUIRE(app == "rd" || app == "ns",
-                     "svc request: app must be 'rd' or 'ns'");
-      req.job.app = app == "ns" ? perf::AppKind::kNavierStokes
-                                : perf::AppKind::kReactionDiffusion;
+      req.job.app = perf::app_by_name(require_string(value, key));
     } else if (key == "elements") {
       req.job.total_elements = require_int(value, key);
     } else if (key == "ranks") {

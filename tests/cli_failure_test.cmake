@@ -105,6 +105,24 @@ expect_run(ok ""
   --app rd --platform puma --ranks 8 --mode direct --cells 4
   --skew 2 --balance --balance-threshold 1.1 --steps 4)
 
+# Enum-valued flags reject typos instead of running another experiment.
+expect_run(fail "unknown app 'nss' .expected rd.ns."
+  --app nss --platform puma --ranks 8)
+expect_run(fail "unknown --mode 'dirct' .expected modeled.direct."
+  --app rd --platform puma --ranks 8 --mode dirct)
+
+# Re-brokering riders without --rebroker are silent no-ops waiting to
+# happen; the trail rider must not leave an empty trail behind either.
+expect_run(fail "--rebroker-hysteresis refines --rebroker"
+  --app rd --platform ec2 --ranks 8 --mode direct --rebroker-hysteresis 0.3)
+file(REMOVE cli_failure_trail.jsonl)
+expect_run(fail "--rebroker-trail refines --rebroker"
+  --app rd --platform ec2 --ranks 8 --mode direct
+  --rebroker-trail cli_failure_trail.jsonl)
+if(EXISTS cli_failure_trail.jsonl)
+  message(FATAL_ERROR "a rejected run wrote its --rebroker-trail file")
+endif()
+
 # Unknown flags are rejected, not silently ignored.
 execute_process(
   COMMAND ${HETEROLAB} run --no-such-flag 1
@@ -143,6 +161,10 @@ function(expect_cmd rc_kind reason_substring)
     endif()
   endif()
 endfunction()
+
+# The broker prices the app it is asked about, or refuses.
+expect_cmd(fail "unknown app 'navier' .expected rd.ns."
+  broker --app navier --elements 1000000 --deadline-h 24 --budget-usd 50)
 
 # A preset is a fixed cell set; a custom sample is another. Never both.
 expect_cmd(fail

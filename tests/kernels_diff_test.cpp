@@ -5,8 +5,9 @@
 // precision. The overhaul's contract is that the fast kernels change *time*
 // only, so both modes must still reproduce every digit.
 //
-// Also covered here: the 8-rank RD fingerprint on one and on several
-// simmpi host threads (ctest runs that suite as kernels_host_threads_test),
+// Also covered here: the 8-rank RD fingerprint and a storm-faulted run's
+// wasted time on one and on several simmpi host threads (ctest runs that
+// suite as kernels_host_threads_test),
 // persistent halo scratch buffers staying put across steps and across a
 // checkpointed 27 -> 8 rank shrink, and the frozen assembly scatter +
 // DirichletPlan pair producing the same eliminated system as the reference
@@ -24,6 +25,7 @@
 
 #include "apps/ns_solver.hpp"
 #include "apps/rd_solver.hpp"
+#include "core/experiment.hpp"
 #include "fem/assembler.hpp"
 #include "fem/bc.hpp"
 #include "fem/fe_space.hpp"
@@ -238,6 +240,18 @@ class ScopedAffinity {
   cpu_set_t saved_;
 };
 
+/// A mask holding only the first CPU of `mask`.
+cpu_set_t first_cpu_only(const cpu_set_t& mask) {
+  int cpu = 0;
+  while (!CPU_ISSET(cpu, &mask)) {
+    ++cpu;
+  }
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(cpu, &one);
+  return one;
+}
+
 // simmpi runs ranks as fibers on min(ranks, CPUs in the caller's affinity
 // mask) host threads. How ranks share threads must not reach the numerics:
 // all fibers on one thread and fibers spread over several threads both
@@ -251,17 +265,10 @@ TEST(HostThreads, RdEightRanksMatchGoldenOnOneAndManyHostThreads) {
                     "use one host thread";
   }
   ScopedKernelMode mode(la::KernelMode::kFast);
-  int cpu = 0;
-  while (!CPU_ISSET(cpu, &mask)) {
-    ++cpu;
-  }
-  cpu_set_t one;
-  CPU_ZERO(&one);
-  CPU_SET(cpu, &one);
   int pinned_threads = 0;
   std::vector<std::string> pinned;
   {
-    ScopedAffinity pin(one);
+    ScopedAffinity pin(first_cpu_only(mask));
     pinned = rd_fingerprint(8, 4, 2, 0.1, 3, &pinned_threads);
   }
   int spread_threads = 0;
@@ -270,6 +277,45 @@ TEST(HostThreads, RdEightRanksMatchGoldenOnOneAndManyHostThreads) {
   EXPECT_EQ(spread_threads, std::min(8, cpus));
   expect_lines(pinned, kRdEightRanks);
   expect_lines(spread, kRdEightRanks);
+}
+
+// A spot-reclaim storm kills an attempt while the other ranks may be
+// anywhere in the step on other host threads. The dead attempt is charged
+// the throwing rank's clock, so the wasted time, its dollars and the
+// re-brokering trail built on them are the same on one host thread and on
+// many.
+TEST(HostThreads, FaultedAttemptWasteMatchesOnOneAndManyHostThreads) {
+  cpu_set_t mask;
+  ASSERT_EQ(::sched_getaffinity(0, sizeof(mask), &mask), 0);
+  if (CPU_COUNT(&mask) < 2) {
+    GTEST_SKIP() << "the affinity mask holds one CPU, so every run would "
+                    "use one host thread";
+  }
+  core::Experiment e;
+  e.platform = "ec2";
+  e.ranks = 8;
+  e.mode = core::Mode::kDirect;
+  e.cells_per_rank_axis = 3;
+  e.direct_steps = 8;
+  e.faults.reclaim_storm_rate = 0.1;
+  e.recovery.kind = resil::RecoveryKind::kCheckpointRestart;
+  e.recovery.checkpoint_every = 2;
+  e.rebroker.enabled = true;
+  e.rebroker.fallback_platform = "puma";
+  auto run = [&] { return core::ExperimentRunner(2).run(e); };
+
+  core::ExperimentResult pinned;
+  {
+    ScopedAffinity pin(first_cpu_only(mask));
+    pinned = run();
+  }
+  ASSERT_GT(pinned.resil.faults_injected, 0) << "the storm never fired";
+  for (int i = 0; i < 5; ++i) {
+    const core::ExperimentResult spread = run();
+    EXPECT_EQ(spread.resil.wasted_sim_s, pinned.resil.wasted_sim_s);
+    EXPECT_EQ(spread.resil.wasted_cost_usd, pinned.resil.wasted_cost_usd);
+    EXPECT_EQ(spread.rebroker.trail, pinned.rebroker.trail);
+  }
 }
 
 // ---- halo scratch reuse across steps and a 27 -> 8 rank shrink ------------

@@ -90,9 +90,6 @@ TEST(TraceRecorder, RingBufferKeepsNewestAndCountsDrops) {
 }
 
 TEST(TraceRecorder, ScopedSpansNestUnderVirtualTime) {
-#ifdef HETERO_OBS_DISABLED
-  GTEST_SKIP() << "observability compiled out (HETERO_OBS=OFF)";
-#endif
   obs::TraceRecorder recorder(1);
   TraceGuard guard(&recorder);
   obs::bind_trace_rank(0);
@@ -187,9 +184,6 @@ TEST(TraceRecorder, ChromeJsonIsWellFormedPerRank) {
 }
 
 TEST(Metrics, CountersAggregateAcrossConcurrentThreads) {
-#ifdef HETERO_OBS_DISABLED
-  GTEST_SKIP() << "observability compiled out (HETERO_OBS=OFF)";
-#endif
   obs::MetricsRegistry registry;
   obs::Counter& counter = registry.counter("test.concurrent");
   obs::Histogram& histogram = registry.histogram("test.samples");
@@ -219,9 +213,6 @@ TEST(Metrics, CountersAggregateAcrossConcurrentThreads) {
 }
 
 TEST(Metrics, RegistryReferencesSurviveResetAndExportJson) {
-#ifdef HETERO_OBS_DISABLED
-  GTEST_SKIP() << "observability compiled out (HETERO_OBS=OFF)";
-#endif
   obs::MetricsRegistry registry;
   obs::Counter& counter = registry.counter("a.count");
   registry.gauge("a.gauge").set(4.5);
@@ -426,9 +417,6 @@ TEST(BenchIo, ReporterWithoutJsonFlagWritesNothing) {
 // End-to-end: run the real RD solver through simmpi with tracing and
 // metrics on, then cross-check all three outputs against each other.
 TEST(ObsIntegration, DirectRdRunProducesCoherentTraceAndMetrics) {
-#ifdef HETERO_OBS_DISABLED
-  GTEST_SKIP() << "observability compiled out (HETERO_OBS=OFF)";
-#endif
   const std::string trace_path = temp_path("obs_test_rd.trace.json");
   obs::metrics().reset();
 

@@ -206,9 +206,10 @@ TEST(RecoveryTest, KindNamesRoundTrip) {
 }
 
 TEST(RecoveryTest, InjectedFaultNamesRankAndStep) {
-  const InjectedFault fault(3, 7);
+  const InjectedFault fault(3, 7, 1.5);
   EXPECT_EQ(fault.rank(), 3);
   EXPECT_EQ(fault.step(), 7);
+  EXPECT_EQ(fault.now_s(), 1.5);
   const std::string what = fault.what();
   EXPECT_NE(what.find("rank 3"), std::string::npos);
   EXPECT_NE(what.find("step 7"), std::string::npos);

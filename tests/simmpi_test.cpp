@@ -605,7 +605,7 @@ TEST(Runtime, InjectedFaultAbortsBlockedPeersWithinTheGuardWindow) {
   try {
     rt.run([&](Comm& comm) {
       if (comm.rank() == 2) {
-        throw resil::InjectedFault(comm.rank(), 1);
+        throw resil::InjectedFault(comm.rank(), 1, comm.now());
       }
       // Everyone else blocks on a message only the dead rank could send.
       comm.recv<double>(2, 7);

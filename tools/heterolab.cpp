@@ -157,15 +157,14 @@ void print_proc_stats(const proc::Supervisor* sup) {
 
 int cmd_run(const CliArgs& args) {
   core::Experiment e;
-  e.app = args.get_string("app", "rd") == "ns"
-              ? perf::AppKind::kNavierStokes
-              : perf::AppKind::kReactionDiffusion;
+  e.app = perf::app_by_name(args.get_string("app", "rd"));
   e.platform = args.get_string("platform", "puma");
   e.ranks = static_cast<int>(args.get_int("ranks", 8));
   e.cells_per_rank_axis = static_cast<int>(args.get_int("cells", 20));
-  e.mode = args.get_string("mode", "modeled") == "direct"
-               ? core::Mode::kDirect
-               : core::Mode::kModeled;
+  const std::string mode = args.get_string("mode", "modeled");
+  HETERO_REQUIRE(mode == "modeled" || mode == "direct",
+                 "unknown --mode '" + mode + "' (expected modeled|direct)");
+  e.mode = mode == "direct" ? core::Mode::kDirect : core::Mode::kModeled;
   e.ec2_spot_mix = args.get_bool("spot", false);
   if (e.ec2_spot_mix) {
     e.ec2_placement_groups = 4;
@@ -188,6 +187,14 @@ int cmd_run(const CliArgs& args) {
     e.rebroker.deadline_s = args.get_double("rebroker-deadline-s", 0.0);
     e.rebroker.sample_every =
         static_cast<int>(args.get_int("rebroker-sample-every", 1));
+  }
+  for (const char* rider : {"rebroker-hysteresis", "migrate-budget-usd",
+                            "rebroker-deadline-s", "rebroker-sample-every",
+                            "rebroker-trail"}) {
+    HETERO_REQUIRE(e.rebroker.enabled || !args.has(rider),
+                   std::string("--") + rider +
+                       " refines --rebroker: pass --rebroker PLATFORM as "
+                       "well");
   }
   HETERO_REQUIRE(e.faults.rank_crash_rate == 0.0 ||
                      e.mode == core::Mode::kDirect,
@@ -517,9 +524,7 @@ int cmd_broker(const CliArgs& args) {
     return cmd_broker_batch(args);
   }
   broker::JobRequest request;
-  request.app = args.get_string("app", "rd") == "ns"
-                    ? perf::AppKind::kNavierStokes
-                    : perf::AppKind::kReactionDiffusion;
+  request.app = perf::app_by_name(args.get_string("app", "rd"));
   request.total_elements = args.get_int("elements", 0);
   request.ranks = static_cast<int>(args.get_int("ranks", 0));
   request.cells_per_rank_axis = static_cast<int>(args.get_int("cells", 20));
