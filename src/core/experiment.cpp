@@ -7,7 +7,6 @@
 #include <cstdio>
 #include <memory>
 #include <optional>
-#include <span>
 
 #include "apps/ns_solver.hpp"
 #include "apps/rd_solver.hpp"
@@ -21,6 +20,7 @@
 #include "simmpi/runtime.hpp"
 #include "support/error.hpp"
 #include "support/hash.hpp"
+#include "support/mid_run.hpp"
 #include "support/stats.hpp"
 
 namespace hetero::core {
@@ -56,16 +56,6 @@ class ScopedTraceInstall {
   ~ScopedTraceInstall() { obs::set_current_trace(nullptr); }
 };
 
-struct LbMetrics {
-  obs::Counter& checks = obs::metrics().counter("lb.checks");
-  obs::Counter& rebalances = obs::metrics().counter("lb.rebalances");
-};
-
-LbMetrics& lb_metrics() {
-  static LbMetrics metrics;
-  return metrics;
-}
-
 struct ResilMetrics {
   obs::Counter& faults = obs::metrics().counter("resil.faults_injected");
   obs::Counter& launch_retries =
@@ -85,6 +75,27 @@ struct ResilMetrics {
 ResilMetrics& resil_metrics() {
   static ResilMetrics metrics;
   return metrics;
+}
+
+/// Adds one direct run's final ledgers to the resil.* and lb.* counters.
+/// A run that never checkpointed or faulted leaves the resil.* set alone.
+void publish_ledgers(const ExperimentResult& r, bool balanced) {
+  const resil::RecoveryStats& s = r.resil;
+  if (s.checkpoints_written > 0 || s.faults_injected > 0) {
+    ResilMetrics& m = resil_metrics();
+    m.faults.add(s.faults_injected);
+    m.checkpoints.add(s.checkpoints_written);
+    m.steps_wasted.add(s.steps_wasted);
+    m.steps_recovered.add(s.steps_recovered);
+    m.retry_delay_s.add(s.retry_delay_s);
+    m.wasted_cost_usd.add(s.wasted_cost_usd);
+    m.recoveries.add(s.recovered ? 1.0 : 0.0);
+    m.unrecovered.add(r.launched ? 0.0 : 1.0);
+  }
+  if (balanced) {
+    obs::metrics().counter("lb.checks").add(r.balance.checks);
+    obs::metrics().counter("lb.rebalances").add(r.balance.rebalances);
+  }
 }
 
 /// Scratch file for checkpoint-restart. Unique per (process, call) so
@@ -128,18 +139,262 @@ std::vector<double> skew_mean_factors(const resil::SkewPlan& plan, int ranks) {
   return factors;
 }
 
+/// Steps a spot-reclaim storm is expected to redo: half a checkpoint
+/// interval, or half the run when nothing is checkpointed.
+int storm_redo_steps(const Experiment& e) {
+  const bool ckpt = e.recovery.kind == resil::RecoveryKind::kCheckpointRestart;
+  return std::max(1, (ckpt ? e.recovery.checkpoint_every : e.direct_steps) / 2);
+}
+
+/// The mid-run controllers of a direct run, in call order, and the
+/// checkpoint ledger their checkpoints share (docs/resilience.md, "Mid-run
+/// controllers"). Each attempt hands every rank its own copy.
+struct MidRun {
+  resil::Recovery recovery;
+  rebroker::Controller rebroker;
+  lb::LoadBalancer balancer;
+  int ckpt_step = 0;  ///< steps the newest checkpoint holds; 0 = none
+  int checkpoints_written = 0;
+
+  /// Each controller's constructor validates its own policy.
+  MidRun(const Experiment& e, std::uint64_t runner_seed)
+      : recovery(e.recovery),
+        rebroker(e.rebroker, e.app, e.cells_per_rank_axis, e.direct_steps,
+                 hash_combine(
+                     hash_combine(0x7262726bULL /* "rbrk" */, runner_seed),
+                     e.seed),
+                 resil::backoff_delay_s(e.recovery, 0), storm_redo_steps(e)),
+        balancer(e.balance, e.ranks) {}
+
+  template <class F>
+  void each(F&& f) {
+    f(recovery);
+    f(rebroker);
+    f(balancer);
+  }
+};
+
+/// Runs the application through simmpi as one attempt loop over the
+/// mid-run controllers: each attempt ends by completing, by a controller's
+/// clean stop (the host then moves the job), or by an injected fault (the
+/// controllers then decide the retry).
+ExperimentResult run_direct(const Experiment& experiment,
+                            const platform::PlatformSpec& spec,
+                            const resil::FaultPlan& plan, MidRun mid,
+                            std::uint64_t runner_seed) {
+  std::optional<obs::TraceRecorder> recorder;
+  std::optional<ScopedTraceInstall> install;
+  if (!experiment.trace_path.empty()) {
+    install.emplace(&recorder.emplace(experiment.ranks));
+  }
+
+  // Global mesh: cells_per_rank_axis^3 per rank, cube decomposition. The
+  // global problem is fixed by the *original* rank count and stays fixed
+  // when recovery shrinks the assembly (27 -> 8 after a reclaim) — the
+  // survivors take over the lost gids.
+  const int k = static_cast<int>(std::round(std::cbrt(experiment.ranks)));
+  HETERO_REQUIRE(k * k * k == experiment.ranks,
+                 "direct mode needs a cubic rank count (1, 8, 27, ...)");
+  const int global_cells = experiment.cells_per_rank_axis * k;
+  const int steps = experiment.direct_steps;
+
+  // Where the job runs and how it is partitioned. Only the host writes
+  // these, between attempts.
+  const platform::PlatformSpec* cur = &spec;
+  int ranks = experiment.ranks;
+  std::vector<double> weights;  // empty until the first rebalance
+  const bool rank_times = mid.balancer.enabled();
+  const std::string ckpt_path = checkpoint_scratch_path();
+
+  // Completed-step records by absolute step index; rank 0 writes, the one
+  // host variable written mid-attempt. Re-run steps overwrite with
+  // identical values (same discrete trajectory), and a step rank 0 never
+  // recorded is covered by no checkpoint, so it always runs again.
+  std::vector<apps::StepRecord> records(static_cast<std::size_t>(steps));
+  ExperimentResult result;
+
+  for (int attempt = 0;; ++attempt) {
+    // The attempt's planned fault, rank -1 for a spot-reclaim storm. A
+    // restart exposes fewer crash cells. Storms only exist where there is
+    // a spot market; a migration to an on-premises queue leaves them
+    // behind. When both arm, only the earlier one fires (ties go to the
+    // crash): one throwing rank per attempt keeps Runtime::run's
+    // first-error propagation deterministic.
+    auto planned = plan.rank_crash(ranks, steps, attempt, mid.ckpt_step);
+    if (cur->spot_node_hour_usd > 0.0) {
+      const auto storm = plan.spot_reclaim(steps, attempt, mid.ckpt_step);
+      if (storm && (!planned || *storm < planned->step)) {
+        planned = resil::RankCrash{-1, *storm};
+      }
+    }
+    mid.each([&](auto& c) { c.begin_attempt(attempt, cur->name, ranks); });
+    std::vector<MidRun> replicas(static_cast<std::size_t>(ranks), mid);
+    simmpi::Runtime runtime(cur->topology(ranks));
+    if (plan.enabled()) runtime.set_degradation(plan.degradation());
+    if (experiment.skew.enabled()) {
+      // Per-rank slow cores and time-windowed noisy neighbors, hashed from
+      // (seed, platform, rank): every compute charge on rank r at virtual
+      // time t is stretched by the same factor at any --jobs.
+      const resil::SkewPlan splan =
+          make_skew_plan(experiment, runner_seed, cur->name);
+      runtime.set_compute_scale(
+          [splan](int rank, double now) { return splan.factor_at(rank, now); });
+    }
+
+    // One rank's attempt: restore the newest checkpoint, then step to the
+    // end, to the planned fault, or to a controller's stop. Every
+    // controller decision lands in the rank's own replica.
+    auto drive = [&](simmpi::Comm& comm, auto&& solver) {
+      MidRun& mine = replicas[static_cast<std::size_t>(comm.rank())];
+      if (mine.ckpt_step > 0) {
+        la::DistVector u_now(solver.map());
+        la::DistVector u_prev(solver.map());
+        const io::SolverCheckpointMeta meta =
+            io::load_solver_checkpoint(comm, u_now, u_prev, ckpt_path);
+        HETERO_REQUIRE(meta.steps_done == mine.ckpt_step,
+                       "checkpoint ledger and checkpoint file disagree");
+        solver.restore_state(u_now, u_prev, meta.time);
+      }
+      for (int s = mine.ckpt_step; s < steps; ++s) {
+        if (planned && s == planned->step &&
+            comm.rank() == std::max(0, planned->rank)) {
+          const bool storm = planned->rank < 0;
+          obs::trace_instant(storm ? "spot_reclaim" : "rank_crash", "resil",
+                             comm.now(), "step", static_cast<double>(s));
+          if (storm) throw resil::SpotReclaim(s, comm.now());
+          throw resil::InjectedFault(comm.rank(), s, comm.now());
+        }
+        const apps::StepRecord record = solver.step();
+        if (comm.rank() == 0) records[static_cast<std::size_t>(s)] = record;
+        // timing.total_s is an allreduced maximum and rank_step_s an
+        // allgather: every replica folds the same step and agrees.
+        const midrun::Step step{s, record.timing.total_s,
+                                cur->cost_usd(ranks, record.timing.total_s),
+                                record.rank_step_s, s + 1 == steps};
+        midrun::Action action = midrun::Action::kContinue;
+        mine.each([&](auto& c) {
+          if (action == midrun::Action::kStop) return;
+          const midrun::Verdict v = c.observe_step(step);
+          if (v.action == midrun::Action::kContinue) return;
+          io::save_solver_checkpoint(comm, state_now(solver),
+                                     state_prev(solver),
+                                     solver.current_time(), s + 1, ckpt_path);
+          mine.ckpt_step = s + 1;
+          ++mine.checkpoints_written;
+          if (comm.rank() == 0) {
+            obs::trace_instant(v.name, v.category, comm.now(), "step",
+                               static_cast<double>(s + 1));
+          }
+          action = v.action;
+        });
+        if (action == midrun::Action::kStop) return;
+      }
+    };
+    std::optional<resil::InjectedFault> fault;
+    try {
+      runtime.run([&](simmpi::Comm& comm) {
+        auto configure = [&](auto config) {
+          config.global_cells = global_cells;
+          config.cpu = cur->cpu_model();
+          config.rank_weights = weights;
+          config.collect_rank_step_s = rank_times;
+          return config;
+        };
+        if (experiment.app == perf::AppKind::kReactionDiffusion) {
+          drive(comm, apps::RdSolver(comm, configure(apps::RdConfig{})));
+        } else {
+          apps::NsConfig ns;
+          ns.velocity_order = experiment.element_order;
+          drive(comm, apps::NsSolver(comm, configure(ns)));
+        }
+      });
+    } catch (const resil::InjectedFault& thrown) {
+      fault = thrown;
+    }
+    // After a clean end every replica holds the same state. After a fault
+    // only the thrower (rank 0 for a storm) is sure to have finished every
+    // step, checkpoint and observation before it.
+    mid = std::move(replicas[fault ? std::max(0, fault->rank()) : 0]);
+    if (fault) {
+      midrun::Fault f{fault->step(),  fault->rank() < 0,
+                      fault->now_s(), cur->cost_usd(ranks, fault->now_s()),
+                      mid.ckpt_step,  ranks};
+      mid.each([&](auto& c) { c.on_fault(f); });
+      if (!f.retry) {
+        result.failure_reason =
+            std::string(fault->what()) + "; unrecovered after " +
+            std::to_string(attempt + 1) + " attempt(s) with policy '" +
+            resil::to_string(experiment.recovery.kind) + "'";
+        break;
+      }
+      ranks = f.ranks;
+      obs::trace_instant("recovery_restart", "resil", f.dead_s, "attempt",
+                         static_cast<double>(attempt + 1));
+      continue;
+    }
+    std::optional<midrun::Move> move;
+    mid.each([&](auto& c) {
+      if (auto m = c.on_stop(runtime.elapsed_sim_seconds(), mid.ckpt_step)) {
+        move = std::move(m);
+      }
+    });
+    if (!move) break;  // the attempt ran to the end
+    if (!move->weights.empty()) weights = std::move(move->weights);
+    if (!move->platform.empty()) {
+      cur = &platform::platform_by_name(move->platform);
+      ranks = move->ranks;
+    }
+  }
+
+  // The one exit, for a completed run and a failed one alike.
+  std::remove(ckpt_path.c_str());
+  if (recorder) recorder->write_chrome_json(experiment.trace_path);
+  result.launched = result.failure_reason.empty();
+  result.resil = mid.recovery.outcome();
+  result.resil.checkpoints_written = mid.checkpoints_written;
+  result.resil.final_ranks = ranks;
+  result.rebroker = mid.rebroker.outcome();
+  result.balance = mid.balancer.outcome();
+  publish_ledgers(result, rank_times);
+  if (!result.launched) return result;
+
+  SampleStats assembly;
+  SampleStats precond;
+  SampleStats solve;
+  SampleStats total;
+  double nodal_error = 0.0;
+  bool converged = true;
+  apps::WorkCounts work;
+  std::int64_t iters_total = 0;
+  for (const auto& r : records) {
+    assembly.add(r.timing.assembly_s);
+    precond.add(r.timing.preconditioner_s);
+    solve.add(r.timing.solve_s);
+    total.add(r.timing.total_s);
+    nodal_error = std::max(nodal_error, r.nodal_error);
+    converged = converged && r.solver_converged;
+    work = r.work;
+    iters_total += r.solver_iterations;
+  }
+
+  result.iteration.assembly_s = assembly.mean();
+  result.iteration.preconditioner_s = precond.mean();
+  result.iteration.solve_s = solve.mean();
+  result.iteration.total_s = total.mean();
+  result.iteration.solver_iterations =
+      static_cast<double>(iters_total) / experiment.direct_steps;
+  result.work_per_rank = work;
+  result.nodal_error = nodal_error;
+  result.solver_converged = converged;
+  result.cost_per_iteration_usd = mid.rebroker.cost_per_iteration_usd(
+      cur->cost_usd(ranks, result.iteration.total_s));
+  result.est_cost_per_iteration_usd = result.cost_per_iteration_usd;
+  return result;
+}
+
 }  // namespace
 
 ExperimentRunner::ExperimentRunner(std::uint64_t seed) : seed_(seed) {}
-
-resil::FaultPlan ExperimentRunner::make_plan(
-    const Experiment& experiment) const {
-  // Salted combine: the fault stream is independent of the Rng streams that
-  // draw queue waits and spot prices from the same two seeds.
-  const std::uint64_t plan_seed = hash_combine(
-      hash_combine(0x726573696cULL /* "resil" */, seed_), experiment.seed);
-  return resil::FaultPlan(experiment.faults, plan_seed);
-}
 
 ExperimentResult ExperimentRunner::run(const Experiment& experiment) {
   HETERO_REQUIRE(experiment.ranks >= 1, "experiment needs ranks >= 1");
@@ -164,14 +419,6 @@ ExperimentResult ExperimentRunner::run(const Experiment& experiment) {
     HETERO_REQUIRE(experiment.mode == Mode::kDirect,
                    "re-brokering needs --mode direct (the control loop "
                    "samples live step times)");
-    // Validates the fallback name; throws for unknown platforms.
-    platform::platform_by_name(experiment.rebroker.fallback_platform);
-    if (experiment.rebroker.target_ranks > 0) {
-      const int t = static_cast<int>(
-          std::round(std::cbrt(experiment.rebroker.target_ranks)));
-      HETERO_REQUIRE(t * t * t == experiment.rebroker.target_ranks,
-                     "re-brokering target ranks must be cubic (1, 8, 27, ...)");
-    }
   }
   if (experiment.balance.enabled) {
     HETERO_REQUIRE(experiment.mode == Mode::kDirect,
@@ -183,17 +430,24 @@ ExperimentResult ExperimentRunner::run(const Experiment& experiment) {
     HETERO_REQUIRE(!experiment.rebroker.enabled,
                    "load balancing conflicts with re-brokering (at most one "
                    "controller may rebuild the run mid-flight)");
-    // Surfaces bad policy values (threshold <= 1, mode typos, ...) as API
-    // errors before any solver work starts.
-    lb::LoadBalancer probe(experiment.balance, experiment.ranks);
-    (void)probe;
+  }
+  // Built before submission, so bad policy values throw before any launch
+  // decision.
+  std::optional<MidRun> mid;
+  if (experiment.mode == Mode::kDirect) {
+    mid.emplace(experiment, seed_);
   }
 
   ExperimentResult result;
   result.provisioning_hours =
       provision::plan_provisioning(spec).total_hours();
 
-  const resil::FaultPlan plan = make_plan(experiment);
+  // Salted combine: the fault stream is independent of the Rng streams that
+  // draw queue waits and spot prices from the same two seeds.
+  const resil::FaultPlan plan(
+      experiment.faults,
+      hash_combine(hash_combine(0x726573696cULL /* "resil" */, seed_),
+                   experiment.seed));
 
   // Availability: can the platform even launch this job, and how long does
   // it sit in the queue (or wait for instance boot)? Injected *transient*
@@ -231,8 +485,8 @@ ExperimentResult ExperimentRunner::run(const Experiment& experiment) {
                  spec.cores_per_node();
 
   ExperimentResult run_part =
-      experiment.mode == Mode::kModeled ? run_modeled(experiment, spec)
-                                        : run_direct(experiment, spec);
+      mid ? run_direct(experiment, spec, plan, std::move(*mid), seed_)
+          : run_modeled(experiment, spec);
   // Merge the run-phase output into the availability/effort scaffold.
   // Direct mode decides `launched` itself: an unrecovered injected fault
   // reports failure even though the scheduler said yes.
@@ -328,437 +582,6 @@ ExperimentResult ExperimentRunner::run_modeled(
       perf::project_iteration(model, topo, cpu, experiment.ranks);
   result.cost_per_iteration_usd =
       spec.cost_usd(experiment.ranks, result.iteration.total_s);
-  result.est_cost_per_iteration_usd = result.cost_per_iteration_usd;
-  return result;
-}
-
-ExperimentResult ExperimentRunner::run_direct(
-    const Experiment& experiment, const platform::PlatformSpec& spec) {
-  ExperimentResult result;
-  const resil::FaultPlan plan = make_plan(experiment);
-  const resil::RecoveryPolicy& policy = experiment.recovery;
-  resil::RecoveryStats& rstats = result.resil;
-
-  std::unique_ptr<obs::TraceRecorder> recorder;
-  std::optional<ScopedTraceInstall> install;
-  if (!experiment.trace_path.empty()) {
-    recorder = std::make_unique<obs::TraceRecorder>(experiment.ranks);
-    install.emplace(recorder.get());
-  }
-
-  // Global mesh: cells_per_rank_axis^3 per rank, cube decomposition. The
-  // global problem is fixed by the *original* rank count and stays fixed
-  // when recovery shrinks the assembly (27 -> 8 after a reclaim) — the
-  // survivors take over the lost gids.
-  const int k = static_cast<int>(std::round(std::cbrt(experiment.ranks)));
-  HETERO_REQUIRE(k * k * k == experiment.ranks,
-                 "direct mode needs a cubic rank count (1, 8, 27, ...)");
-  const int global_cells = experiment.cells_per_rank_axis * k;
-  const int steps = experiment.direct_steps;
-
-  int ranks = experiment.ranks;
-  int axis = k;
-  rstats.final_ranks = ranks;
-
-  // The platform the job is currently running on; re-brokering migrations
-  // swap it mid-run (everything billed or timed below reads through `cur`).
-  const platform::PlatformSpec* cur = &spec;
-
-  const bool use_ckpt =
-      policy.kind == resil::RecoveryKind::kCheckpointRestart;
-  // Re-brokering checkpoints through `io` at the migration step even when
-  // the recovery policy itself never checkpoints.
-  const rebroker::Policy& rb = experiment.rebroker;
-  const bool rb_on = rb.enabled;
-
-  // The load-balancing control loop mirrors the re-brokering one: every
-  // rank holds an identical LoadBalancer copy fed the same allgathered
-  // step-time vector, so the rebalance verdict is reached on all ranks
-  // without communication; rank 0's copy is canonical and is adopted back
-  // after the attempt.
-  lb::LoadBalancer lb_canonical(experiment.balance, experiment.ranks);
-  const bool lb_on = lb_canonical.enabled();
-  std::vector<lb::LoadBalancer> rank_lb;
-  std::vector<double> rank_weights;  // empty until the first rebalance
-  bool rebalance_pending = false;    // set by drive(), consumed by the host
-
-  const bool need_ckpt_file = use_ckpt || rb_on || lb_on;
-  const std::string ckpt_path = need_ckpt_file ? checkpoint_scratch_path() : "";
-  // Checkpoint bookkeeping. Written by rank 0 of the running attempt, read
-  // by the host thread and the next attempt — Runtime::run joins all rank
-  // threads first, so there is no cross-attempt race.
-  bool have_checkpoint = false;
-  int ckpt_step = 0;  // completed steps at the checkpoint
-
-  // Completed-step records by absolute step index; rank 0 writes. Re-run
-  // steps overwrite with identical values (same discrete trajectory).
-  std::vector<apps::StepRecord> records(static_cast<std::size_t>(steps));
-  // Dollar cost of each completed step on the platform it last ran on;
-  // rank 0 writes. Migrated runs blend their per-iteration cost from this.
-  std::vector<double> step_cost(static_cast<std::size_t>(steps), 0.0);
-
-  // Steps the current attempt re-executes or runs; the crash cell lookup
-  // starts here, so a restart from a checkpoint exposes fewer cells.
-  auto resume_step = [&] { return have_checkpoint ? ckpt_step : 0; };
-
-  // The re-brokering control loop. `canonical` is the host's copy; each
-  // attempt hands every simulated rank an identical copy, so the migrate
-  // verdict is reached on all ranks without communication, and rank 0's
-  // copy (whose trail saw every completed step) is adopted back. The
-  // default-constructed disabled controller still counts storms so a
-  // static plan's outcome reports what the market did to it.
-  rebroker::Controller canonical;
-  std::vector<rebroker::Controller> rank_ctl;
-  double rb_elapsed_base_s = 0.0;  // job virtual clock across attempts
-  double rb_spent_base_usd = 0.0;  // dollars billed across attempts
-  bool migration_pending = false;  // set by drive(), consumed by the host
-  if (rb_on) {
-    const std::uint64_t rb_seed = hash_combine(
-        hash_combine(0x7262726bULL /* "rbrk" */, seed_), experiment.seed);
-    const int redo_steps =
-        use_ckpt ? std::max(1, policy.checkpoint_every / 2)
-                 : std::max(1, steps / 2);
-    canonical =
-        rebroker::Controller(rb, experiment.app, experiment.cells_per_rank_axis,
-                             steps, rb_seed, resil::backoff_delay_s(policy, 0),
-                             redo_steps);
-  }
-
-  // Runs one attempt of `solver` from `start_step`, injecting the planned
-  // crash or spot-reclaim storm, writing periodic checkpoints, and feeding
-  // completed steps to the re-brokering controllers. A migrate verdict
-  // checkpoints collectively and unwinds the attempt *cleanly* (no
-  // exception): every rank reaches the same verdict from the same
-  // allreduced step time, so they all return together.
-  auto drive = [&](simmpi::Comm& comm, auto& solver, int start_step,
-                   const std::optional<resil::RankCrash>& crash,
-                   const std::optional<int>& storm) {
-    for (int s = start_step; s < steps; ++s) {
-      if (storm && s == *storm && comm.rank() == 0) {
-        obs::trace_instant("spot_reclaim", "resil", comm.now(), "step",
-                           static_cast<double>(s));
-        throw resil::SpotReclaim(s, comm.now());
-      }
-      if (crash && s == crash->step && comm.rank() == crash->rank) {
-        obs::trace_instant("rank_crash", "resil", comm.now(), "step",
-                           static_cast<double>(s));
-        throw resil::InjectedFault(comm.rank(), s, comm.now());
-      }
-      const apps::StepRecord record = solver.step();
-      if (comm.rank() == 0) {
-        records[static_cast<std::size_t>(s)] = record;
-      }
-      // Collective checkpoint after step s; rank 0 books it and marks it on
-      // the trace as `name`.
-      auto checkpoint = [&](const char* name, const char* category) {
-        io::save_solver_checkpoint(comm, state_now(solver),
-                                   state_prev(solver), solver.current_time(),
-                                   s + 1, ckpt_path);
-        if (comm.rank() == 0) {
-          have_checkpoint = true;
-          ckpt_step = s + 1;
-          ++rstats.checkpoints_written;
-          resil_metrics().checkpoints.increment();
-          obs::trace_instant(name, category, comm.now(), "step",
-                             static_cast<double>(s + 1));
-        }
-      };
-      if (use_ckpt && (s + 1) % policy.checkpoint_every == 0 &&
-          s + 1 < steps) {
-        checkpoint("checkpoint", "resil");
-      }
-      if (rb_on) {
-        // timing.total_s is an allreduced maximum — identical on every
-        // rank, so every controller copy folds the same observation.
-        const double cost_s = cur->cost_usd(ranks, record.timing.total_s);
-        if (comm.rank() == 0) {
-          step_cost[static_cast<std::size_t>(s)] = cost_s;
-        }
-        const bool migrate = rank_ctl[static_cast<std::size_t>(comm.rank())]
-                                 .observe_step(s, record.timing.total_s, cost_s);
-        if (migrate && s + 1 < steps) {
-          checkpoint("migration_checkpoint", "rebroker");
-          if (comm.rank() == 0) {
-            migration_pending = true;
-          }
-          return;
-        }
-      }
-      if (lb_on && !record.rank_step_s.empty()) {
-        // rank_step_s is allgathered — identical on every rank, so every
-        // balancer copy folds the same observation and agrees.
-        const bool rebalance =
-            rank_lb[static_cast<std::size_t>(comm.rank())].observe(
-                s, std::span<const double>(record.rank_step_s));
-        if (rebalance && s + 1 < steps) {
-          checkpoint("rebalance_checkpoint", "lb");
-          if (comm.rank() == 0) {
-            rebalance_pending = true;
-          }
-          return;
-        }
-      }
-    }
-  };
-
-  // One attempt: build the solver (restoring from the checkpoint if we
-  // have one) and drive it to the end or to the planned crash.
-  auto run_attempt = [&](simmpi::Runtime& runtime, auto make_solver,
-                         const std::optional<resil::RankCrash>& crash,
-                         const std::optional<int>& storm) {
-    runtime.run([&](simmpi::Comm& comm) {
-      auto solver = make_solver(comm);
-      int start_step = 0;
-      if (have_checkpoint) {
-        la::DistVector u_now(solver.map());
-        la::DistVector u_prev(solver.map());
-        const io::SolverCheckpointMeta meta =
-            io::load_solver_checkpoint(comm, u_now, u_prev, ckpt_path);
-        solver.restore_state(u_now, u_prev, meta.time);
-        start_step = meta.steps_done;
-      }
-      drive(comm, solver, start_step, crash, storm);
-    });
-  };
-
-  for (int attempt = 0;; ++attempt) {
-    rstats.attempts = attempt + 1;
-    auto crash = plan.rank_crash(ranks, steps, attempt, resume_step());
-    // Spot-reclaim storms only exist where there is a spot market; a
-    // migration to an on-premises queue leaves them behind. When both a
-    // crash and a storm arm in one attempt, only the earlier one can fire
-    // (ties go to the crash): one throwing rank per attempt keeps
-    // Runtime::run's first-error propagation deterministic.
-    std::optional<int> storm;
-    if (cur->spot_node_hour_usd > 0.0) {
-      storm = plan.spot_reclaim(steps, attempt, resume_step());
-    }
-    if (crash && storm) {
-      if (*storm < crash->step) {
-        crash.reset();
-      } else {
-        storm.reset();
-      }
-    }
-    if (rb_on) {
-      canonical.begin_attempt(attempt, cur->name, ranks, resume_step(),
-                              rb_elapsed_base_s, rb_spent_base_usd,
-                              canonical.outcome().storms,
-                              canonical.steps_observed());
-      rank_ctl.assign(static_cast<std::size_t>(ranks), canonical);
-    }
-    if (lb_on) {
-      rank_lb.assign(static_cast<std::size_t>(ranks), lb_canonical);
-    }
-    simmpi::Runtime runtime(cur->topology(ranks));
-    if (plan.enabled()) {
-      runtime.set_degradation(plan.degradation());
-    }
-    if (experiment.skew.enabled()) {
-      // Per-rank slow cores and time-windowed noisy neighbors, hashed from
-      // (seed, platform, rank): every compute charge on rank r at virtual
-      // time t is stretched by the same factor at any --jobs.
-      const resil::SkewPlan splan =
-          make_skew_plan(experiment, seed_, cur->name);
-      runtime.set_compute_scale(
-          [splan](int rank, double now) { return splan.factor_at(rank, now); });
-    }
-    try {
-      if (experiment.app == perf::AppKind::kReactionDiffusion) {
-        run_attempt(
-            runtime,
-            [&](simmpi::Comm& comm) {
-              apps::RdConfig config;
-              config.global_cells = global_cells;
-              config.cpu = cur->cpu_model();
-              config.rank_weights = rank_weights;
-              config.collect_rank_step_s = lb_on;
-              return apps::RdSolver(comm, config);
-            },
-            crash, storm);
-      } else {
-        run_attempt(
-            runtime,
-            [&](simmpi::Comm& comm) {
-              apps::NsConfig config;
-              config.global_cells = global_cells;
-              config.velocity_order = experiment.element_order;
-              config.cpu = cur->cpu_model();
-              config.rank_weights = rank_weights;
-              config.collect_rank_step_s = lb_on;
-              return apps::NsSolver(comm, config);
-            },
-            crash, storm);
-      }
-      if (rb_on) {
-        canonical = rank_ctl[0];
-      }
-      if (lb_on) {
-        lb_canonical = rank_lb[0];
-      }
-      if (rebalance_pending) {
-        rebalance_pending = false;
-        // Turn the measured speeds into the next attempt's capacity
-        // weights; the attempt resumes from the rebalance checkpoint on a
-        // freshly weighted partition (gid-keyed restore, as for recovery).
-        lb_canonical.record_rebalance();
-        rank_weights = lb_canonical.rank_weights();
-        lb_metrics().rebalances.increment();
-        obs::trace_instant("rebalance", "lb", runtime.elapsed_sim_seconds(),
-                           "step", static_cast<double>(ckpt_step));
-        continue;
-      }
-      if (migration_pending) {
-        migration_pending = false;
-        const double attempt_s = runtime.elapsed_sim_seconds();
-        const std::string from_platform = cur->name;
-        const int from_ranks = ranks;
-        const int target_ranks = canonical.move_ranks();
-        const platform::PlatformSpec& target =
-            platform::platform_by_name(rb.fallback_platform);
-        // The real submission to the fallback, on its own hashed stream:
-        // replays of the same seed see the same queue wait at any --jobs.
-        Rng migration_rng(hash_mix(hash_combine(
-            hash_combine(hash_combine(0x7262726bULL /* "rbrk" */, seed_),
-                         experiment.seed),
-            static_cast<std::uint64_t>(canonical.outcome().migrations))));
-        const sched::JobOutcome moved = sched::make_scheduler(target)->submit(
-            {target_ranks, /*estimated_runtime_s=*/3600.0}, migration_rng);
-        rb_elapsed_base_s += attempt_s;
-        rb_spent_base_usd += cur->cost_usd(ranks, attempt_s);
-        if (!moved.launched) {
-          // The fallback would not take the job; resume from the migration
-          // checkpoint on the platform we never left.
-          canonical.record_migration_failed(moved.failure_reason);
-          continue;
-        }
-        canonical.record_migration(ckpt_step, from_platform, from_ranks,
-                                   target.name, target_ranks, moved.wait_s);
-        rb_elapsed_base_s += moved.wait_s;
-        cur = &target;
-        ranks = target_ranks;
-        axis = static_cast<int>(std::round(std::cbrt(target_ranks)));
-        rstats.final_ranks = ranks;
-        obs::trace_instant("migration", "rebroker", rb_elapsed_base_s,
-                           "to_ranks", static_cast<double>(target_ranks));
-        continue;
-      }
-      break;  // attempt survived
-    } catch (const resil::InjectedFault& fault) {
-      ++rstats.faults_injected;
-      const double dead_s = fault.now_s();
-      rstats.wasted_sim_s += dead_s;
-      rstats.wasted_cost_usd += cur->cost_usd(ranks, dead_s);
-      rstats.steps_wasted += std::max(0, fault.step() - resume_step());
-      resil_metrics().faults.increment();
-      resil_metrics().steps_wasted.add(
-          static_cast<double>(std::max(0, fault.step() - resume_step())));
-      resil_metrics().wasted_cost_usd.add(cur->cost_usd(ranks, dead_s));
-      if (rb_on) {
-        canonical = rank_ctl[0];
-      }
-      if (lb_on) {
-        lb_canonical = rank_lb[0];
-      }
-      if (fault.rank() < 0) {
-        // A storm, not a host: the whole allocation went away. Counted on
-        // the canonical controller even when re-brokering is off, so the
-        // outcome still reports what the market did.
-        canonical.record_storm(fault.step(), rb_elapsed_base_s + dead_s);
-      }
-      if (policy.kind == resil::RecoveryKind::kNone ||
-          attempt + 1 >= policy.max_attempts) {
-        resil_metrics().unrecovered.increment();
-        result.launched = false;
-        result.failure_reason =
-            std::string(fault.what()) + "; unrecovered after " +
-            std::to_string(attempt + 1) + " attempt(s) with policy '" +
-            resil::to_string(policy.kind) + "'";
-        if (need_ckpt_file) std::remove(ckpt_path.c_str());
-        result.rebroker = canonical.take_outcome();
-        result.rebroker.final_platform = cur->name;
-        result.balance = lb_canonical.outcome();
-        return result;
-      }
-      const double delay = resil::backoff_delay_s(policy, attempt);
-      rstats.retry_delay_s += delay;
-      rstats.steps_recovered += resume_step();
-      resil_metrics().retry_delay_s.add(delay);
-      resil_metrics().steps_recovered.add(
-          static_cast<double>(resume_step()));
-      rb_elapsed_base_s += dead_s + delay;
-      rb_spent_base_usd += cur->cost_usd(ranks, dead_s);
-      if (policy.shrink_ranks_on_crash && axis > 1) {
-        // A reclaim took hosts: restart on the next smaller cube. The
-        // checkpoint redistributes by gid, so the survivors pick up the
-        // lost ranks' share.
-        --axis;
-        ranks = axis * axis * axis;
-        rstats.final_ranks = ranks;
-      }
-      obs::trace_instant("recovery_restart", "resil", dead_s, "attempt",
-                         static_cast<double>(attempt + 1));
-    }
-  }
-  if (need_ckpt_file) std::remove(ckpt_path.c_str());
-  rstats.recovered = rstats.faults_injected > 0;
-  if (rstats.recovered) {
-    resil_metrics().recoveries.increment();
-  }
-
-  if (recorder) {
-    recorder->write_chrome_json(experiment.trace_path);
-  }
-
-  SampleStats assembly;
-  SampleStats precond;
-  SampleStats solve;
-  SampleStats total;
-  double nodal_error = 0.0;
-  bool converged = true;
-  apps::WorkCounts work;
-  std::int64_t iters_total = 0;
-  for (const auto& r : records) {
-    assembly.add(r.timing.assembly_s);
-    precond.add(r.timing.preconditioner_s);
-    solve.add(r.timing.solve_s);
-    total.add(r.timing.total_s);
-    nodal_error = std::max(nodal_error, r.nodal_error);
-    converged = converged && r.solver_converged;
-    work = r.work;
-    iters_total += r.solver_iterations;
-  }
-
-  result.launched = true;
-  result.iteration.assembly_s = assembly.mean();
-  result.iteration.preconditioner_s = precond.mean();
-  result.iteration.solve_s = solve.mean();
-  result.iteration.total_s = total.mean();
-  result.iteration.solver_iterations =
-      static_cast<double>(iters_total) / experiment.direct_steps;
-  result.work_per_rank = work;
-  result.nodal_error = nodal_error;
-  result.solver_converged = converged;
-  result.rebroker = canonical.take_outcome();
-  result.rebroker.final_platform = cur->name;
-  result.balance = lb_canonical.outcome();
-  if (lb_on) {
-    lb_metrics().checks.add(static_cast<double>(result.balance.checks));
-  }
-  if (result.rebroker.migrations > 0) {
-    // A migrated run blends the per-step dollars each platform billed;
-    // without a migration the legacy single-platform formula applies
-    // unchanged (so an adaptive run that never moves prices identically
-    // to a static one).
-    double total_cost = 0.0;
-    for (const double c : step_cost) {
-      total_cost += c;
-    }
-    result.cost_per_iteration_usd = total_cost / steps;
-  } else {
-    result.cost_per_iteration_usd =
-        cur->cost_usd(ranks, result.iteration.total_s);
-  }
   result.est_cost_per_iteration_usd = result.cost_per_iteration_usd;
   return result;
 }

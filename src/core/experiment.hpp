@@ -273,10 +273,6 @@ class ExperimentRunner {
  private:
   ExperimentResult run_modeled(const Experiment& experiment,
                                const platform::PlatformSpec& spec);
-  ExperimentResult run_direct(const Experiment& experiment,
-                              const platform::PlatformSpec& spec);
-  /// The experiment's fault schedule, derived from (runner seed, its seed).
-  resil::FaultPlan make_plan(const Experiment& experiment) const;
 
   std::uint64_t seed_;
 };

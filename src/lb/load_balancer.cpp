@@ -2,13 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
+#include "obs/trace.hpp"
 #include "support/error.hpp"
 
 namespace hetero::lb {
 
 LoadBalancer::LoadBalancer(const BalancePolicy& policy, int ranks)
-    : policy_(policy), ranks_(ranks) {
+    : policy_(policy), ranks_(policy.enabled ? ranks : 1) {
   HETERO_REQUIRE(ranks >= 1, "load balancer needs ranks >= 1");
   HETERO_REQUIRE(policy.threshold > 1.0,
                  "balance threshold must be > 1 (1.0 would re-trigger on "
@@ -26,20 +28,20 @@ LoadBalancer::LoadBalancer(const BalancePolicy& policy, int ranks)
   HETERO_REQUIRE(policy.diffusion_eta > 0.0 && policy.diffusion_eta <= 1.0,
                  "balance diffusion_eta must be in (0, 1]");
   // EWMAs primed with no model: the first observation seeds them.
-  ewma_.assign(static_cast<std::size_t>(ranks),
+  ewma_.assign(static_cast<std::size_t>(ranks_),
                obs::DriftEstimator(0.0, 0.5));
-  weights_.assign(static_cast<std::size_t>(ranks), 1.0);
+  weights_.assign(static_cast<std::size_t>(ranks_), 1.0);
 }
 
 bool LoadBalancer::observe(int step, std::span<const double> rank_step_s) {
+  if (!enabled()) {
+    return false;
+  }
   HETERO_REQUIRE(rank_step_s.size() == static_cast<std::size_t>(ranks_),
                  "load balancer: need one step time per rank");
   for (int r = 0; r < ranks_; ++r) {
     ewma_[static_cast<std::size_t>(r)].observe(
         rank_step_s[static_cast<std::size_t>(r)]);
-  }
-  if (!enabled()) {
-    return false;
   }
   if ((step + 1) % policy_.check_every != 0) {
     return false;
@@ -54,6 +56,25 @@ bool LoadBalancer::observe(int step, std::span<const double> rank_step_s) {
     return false;
   }
   return imb > policy_.threshold;
+}
+
+midrun::Verdict LoadBalancer::observe_step(const midrun::Step& step) {
+  if (!observe(step.index, step.rank_seconds) || step.last) {
+    return {};
+  }
+  rebalance_due_ = true;
+  return {midrun::Action::kStop, "rebalance_checkpoint", "lb"};
+}
+
+std::optional<midrun::Move> LoadBalancer::on_stop(double elapsed_s,
+                                                  int checkpoint_step) {
+  if (!std::exchange(rebalance_due_, false)) return std::nullopt;
+  // The next attempt resumes from the rebalance checkpoint on a partition
+  // weighted by the measured speeds (gid-keyed restore, as for recovery).
+  record_rebalance();
+  obs::trace_instant("rebalance", "lb", elapsed_s, "step",
+                     static_cast<double>(checkpoint_step));
+  return midrun::Move{weights_, "", 0};
 }
 
 double LoadBalancer::imbalance() const {

@@ -11,17 +11,19 @@
 /// transfers between rank-line neighbours ("diffuse", Cybenko-style).
 ///
 /// Deterministic by construction: the state is a pure fold over the
-/// observed per-rank step-time stream. Direct-mode runs allgather each
-/// rank's step seconds so every rank folds the *same* vector, hands every
-/// simulated rank an identical LoadBalancer copy, and adopts rank 0's copy
-/// after the attempt — the same no-communication consensus pattern the
-/// re-brokering controller uses (docs/rebrokering.md).
+/// observed per-rank step-time stream, which direct runs allgather so every
+/// rank folds the *same* vector. A LoadBalancer is one of the three mid-run
+/// controllers of a direct run (support/mid_run.hpp); docs/resilience.md
+/// ("Mid-run controllers") states how the runner replicates it per rank and
+/// adopts it back.
 
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "obs/drift.hpp"
+#include "support/mid_run.hpp"
 
 namespace hetero::lb {
 
@@ -65,17 +67,17 @@ struct BalanceOutcome {
 
 class LoadBalancer {
  public:
-  /// Disabled balancer: observe() never triggers.
-  LoadBalancer() = default;
+  /// A disabled policy keeps one rank's state whatever `ranks` is: a direct
+  /// run copies its balancer to every rank each attempt.
   LoadBalancer(const BalancePolicy& policy, int ranks);
 
   bool enabled() const { return policy_.enabled && ranks_ > 1; }
-  const BalancePolicy& policy() const { return policy_; }
 
   /// Folds the allgathered per-rank step seconds of step `step` into the
-  /// EWMAs and returns true when a rebalance should fire now. Every rank
-  /// must pass the identical vector (it is an allgather result), so every
-  /// copy reaches the same verdict without communication.
+  /// EWMAs and returns true when a rebalance should fire now; a balancer
+  /// that is not enabled() ignores them. Every rank must pass the identical
+  /// vector (it is an allgather result), so every copy reaches the same
+  /// verdict without communication.
   bool observe(int step, std::span<const double> rank_step_s);
 
   /// max(smoothed) / mean(smoothed) over ranks; 1.0 before observations.
@@ -93,6 +95,16 @@ class LoadBalancer {
 
   const BalanceOutcome& outcome() const { return outcome_; }
 
+  // Mid-run controller hooks. The balance is keyed to the rank count it
+  // was built for, so attempts and faults change nothing here.
+  void begin_attempt(int, const std::string&, int) {}
+  /// observe() on the step's allgathered times; a rebalance that fires
+  /// before the last step asks for a checkpoint-and-stop.
+  midrun::Verdict observe_step(const midrun::Step& step);
+  /// After its own stop: record_rebalance(), and the new weights.
+  std::optional<midrun::Move> on_stop(double elapsed_s, int checkpoint_step);
+  void on_fault(const midrun::Fault&) {}
+
  private:
   std::vector<double> measured_speeds() const;
 
@@ -101,6 +113,7 @@ class LoadBalancer {
   std::vector<obs::DriftEstimator> ewma_;
   std::vector<double> weights_;
   BalanceOutcome outcome_;
+  bool rebalance_due_ = false;
 };
 
 }  // namespace hetero::lb

@@ -1,10 +1,16 @@
 #include "rebroker/controller.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <utility>
 
 #include "obs/json.hpp"
+#include "obs/trace.hpp"
+#include "platform/platform_spec.hpp"
+#include "sched/scheduler.hpp"
 #include "support/error.hpp"
+#include "support/hash.hpp"
+#include "support/rng.hpp"
 
 namespace hetero::rebroker {
 
@@ -13,15 +19,6 @@ namespace {
 // Distinct salts for the two quote streams ("stay" / "move" in ASCII).
 constexpr std::uint64_t kStaySalt = 0x73746179ULL;
 constexpr std::uint64_t kMoveSalt = 0x6d6f7665ULL;
-
-obs::Json base_record(const char* type, const std::string& run, int attempt) {
-  obs::Json j = obs::Json::object();
-  j.set("schema", kTrailSchema);
-  j.set("type", type);
-  j.set("run", run);
-  j.set("attempt", attempt);
-  return j;
-}
 
 }  // namespace
 
@@ -107,24 +104,25 @@ Controller::Controller(const Policy& policy, perf::AppKind app,
                    "rebroker: max migrations must be >= 0");
     // Resolves (and validates) the fallback name up front.
     (void)largest_cubic_ranks(policy_.fallback_platform, 1);
+    const int t =
+        static_cast<int>(std::round(std::cbrt(policy_.target_ranks)));
+    HETERO_REQUIRE(
+        policy_.target_ranks == 0 || t * t * t == policy_.target_ranks,
+        "re-brokering target ranks must be cubic (1, 8, 27, ...)");
+    // A direct run copies its controller to every rank each attempt, so a
+    // disabled one carries no per-step state.
+    step_cost_usd_.assign(static_cast<std::size_t>(steps_total), 0.0);
   }
 }
 
 void Controller::begin_attempt(int attempt, const std::string& platform,
-                               int ranks, int start_step,
-                               double elapsed_base_s, double spent_base_usd,
-                               int storms_seen, int steps_observed) {
-  (void)start_step;
+                               int ranks) {
   attempt_ = attempt;
   platform_ = platform;
   ranks_ = ranks;
-  elapsed_base_s_ = elapsed_base_s;
-  spent_base_usd_ = spent_base_usd;
+  outcome_.final_platform = platform;
   elapsed_attempt_s_ = 0.0;
   spent_attempt_usd_ = 0.0;
-  storms_seen_ = storms_seen;
-  steps_observed_base_ = steps_observed;
-  steps_observed_attempt_ = 0;
   if (!policy_.enabled) {
     return;
   }
@@ -132,15 +130,12 @@ void Controller::begin_attempt(int attempt, const std::string& platform,
   stay_.can_launch = true;  // already running here
   stay_.queue_wait_s = 0.0;
   drift_ = obs::DriftEstimator(stay_.seconds_per_step);
-  if (platform == policy_.fallback_platform) {
-    // Already on the fallback: nowhere further to migrate.
-    move_ = PlatformQuote{};
-    move_.platform = policy_.fallback_platform;
-    return;
-  }
-  int target = policy_.target_ranks > 0
-                   ? policy_.target_ranks
-                   : largest_cubic_ranks(policy_.fallback_platform, ranks);
+  // Already on the fallback there is nowhere further to migrate.
+  const int target =
+      platform == policy_.fallback_platform ? 0
+      : policy_.target_ranks > 0
+          ? policy_.target_ranks
+          : largest_cubic_ranks(policy_.fallback_platform, ranks);
   if (target < 1) {
     move_ = PlatformQuote{};
     move_.platform = policy_.fallback_platform;
@@ -157,11 +152,11 @@ AdviseInputs Controller::make_inputs(int steps_done) const {
   in.elapsed_s = elapsed_s();
   in.spent_usd = spent_usd();
   in.observed_step_s = drift_.samples() > 0 ? drift_.smoothed_s() : 0.0;
-  in.storms_seen = storms_seen_;
-  in.storm_rate =
-      storms_seen_ > 0
-          ? static_cast<double>(storms_seen_) / std::max(1, steps_observed())
-          : 0.0;
+  in.storms_seen = outcome_.storms;
+  in.storm_rate = outcome_.storms > 0
+                      ? static_cast<double>(outcome_.storms) /
+                            std::max(1, steps_observed_)
+                      : 0.0;
   in.backoff_expect_s = backoff_expect_s_;
   in.redo_steps_per_storm = redo_steps_per_storm_;
   in.stay = stay_;
@@ -172,29 +167,37 @@ AdviseInputs Controller::make_inputs(int steps_done) const {
   return in;
 }
 
-bool Controller::observe_step(int step, double step_seconds,
-                              double step_cost_usd) {
-  if (!policy_.enabled) {
-    return false;
-  }
-  drift_.observe(step_seconds);
-  elapsed_attempt_s_ += step_seconds;
-  spent_attempt_usd_ += step_cost_usd;
-  ++steps_observed_attempt_;
-  const int done = step + 1;
+obs::Json Controller::step_record(const char* type, int step,
+                                  double virtual_time_s) const {
+  obs::Json j = obs::Json::object();
+  j.set("schema", kTrailSchema);
+  j.set("type", type);
+  j.set("run", policy_.run_label);
+  j.set("attempt", attempt_);
+  j.set("platform", platform_);
+  j.set("ranks", ranks_);
+  j.set("step", step);
+  j.set("virtual_time_s", virtual_time_s);
+  return j;
+}
+
+midrun::Verdict Controller::observe_step(const midrun::Step& step) {
+  if (!policy_.enabled) return {};
+  step_cost_usd_[static_cast<std::size_t>(step.index)] = step.cost_usd;
+  drift_.observe(step.seconds);
+  elapsed_attempt_s_ += step.seconds;
+  spent_attempt_usd_ += step.cost_usd;
+  ++steps_observed_;
+  const int done = step.index + 1;
   if (done % policy_.sample_every != 0) {
-    return false;
+    return {};
   }
   if (done >= steps_total_) {
-    return false;  // nothing left to re-broker
+    return {};  // nothing left to re-broker
   }
   ++outcome_.samples;
-  obs::Json sample = base_record("sample", policy_.run_label, attempt_);
-  sample.set("platform", platform_);
-  sample.set("ranks", ranks_);
-  sample.set("step", step);
-  sample.set("virtual_time_s", elapsed_s());
-  sample.set("step_s", step_seconds);
+  obs::Json sample = step_record("sample", step.index, elapsed_s());
+  sample.set("step_s", step.seconds);
   sample.set("drift", drift_.drift());
   sample.set("storm_rate", make_inputs(done).storm_rate);
   append_record(sample.dump());
@@ -202,25 +205,73 @@ bool Controller::observe_step(int step, double step_seconds,
   const AdviseInputs in = make_inputs(done);
   Advice a = advise(in);
   ++outcome_.decisions;
-  const bool will_migrate = a.migrate && !migration_suppressed_ &&
-                            outcome_.migrations < policy_.max_migrations;
-  if (a.migrate && !will_migrate) {
+  migration_due_ = a.migrate && !migration_suppressed_ &&
+                   outcome_.migrations < policy_.max_migrations;
+  if (a.migrate && !migration_due_) {
     a.reason = migration_suppressed_ ? "fallback submission failed earlier"
                                      : "migration allowance exhausted";
   }
-  obs::Json decision = base_record("decision", policy_.run_label, attempt_);
-  decision.set("platform", platform_);
-  decision.set("ranks", ranks_);
-  decision.set("step", step);
-  decision.set("virtual_time_s", elapsed_s());
-  decision.set("action", will_migrate ? "migrate" : "stay");
+  obs::Json decision = step_record("decision", step.index, elapsed_s());
+  decision.set("action", migration_due_ ? "migrate" : "stay");
   decision.set("stay_finish_s", a.stay_finish_s);
   decision.set("move_finish_s", a.move_finish_s);
   decision.set("stay_cost_usd", a.stay_cost_usd);
   decision.set("move_cost_usd", a.move_cost_usd);
   decision.set("reason", a.reason);
   append_record(decision.dump());
-  return will_migrate;
+  if (!migration_due_) return {};
+  return {midrun::Action::kStop, "migration_checkpoint", "rebroker"};
+}
+
+std::optional<midrun::Move> Controller::on_stop(double elapsed_s,
+                                                int checkpoint_step) {
+  if (!std::exchange(migration_due_, false)) return std::nullopt;
+  // The real submission to the fallback, on its own hashed stream: replays
+  // of the same seed see the same queue wait at any --jobs.
+  const platform::PlatformSpec& target =
+      platform::platform_by_name(policy_.fallback_platform);
+  Rng rng(hash_mix(
+      hash_combine(seed_, static_cast<std::uint64_t>(outcome_.migrations))));
+  const sched::JobOutcome moved = sched::make_scheduler(target)->submit(
+      {move_.ranks, /*estimated_runtime_s=*/3600.0}, rng);
+  // The trail stamps the verdict's clock; the job clock then takes the
+  // attempt's whole virtual duration, billed where it ran.
+  if (!moved.launched) {
+    // The fallback would not take the job; resume from the checkpoint on
+    // the platform we never left.
+    record_migration_failed(moved.failure_reason);
+    charge(elapsed_s);
+    return midrun::Move{};
+  }
+  record_migration(checkpoint_step, target.name, moved.wait_s);
+  charge(elapsed_s);
+  elapsed_base_s_ += moved.wait_s;
+  obs::trace_instant("migration", "rebroker", elapsed_base_s_, "to_ranks",
+                     static_cast<double>(move_.ranks));
+  return midrun::Move{{}, target.name, move_.ranks};
+}
+
+void Controller::on_fault(const midrun::Fault& fault) {
+  if (fault.storm) {
+    record_storm(fault.step, elapsed_base_s_ + fault.dead_s);
+  }
+  elapsed_base_s_ += fault.dead_s + fault.retry_delay_s;
+  spent_base_usd_ += fault.dead_cost_usd;
+}
+
+void Controller::charge(double seconds) {
+  elapsed_base_s_ += seconds;
+  spent_base_usd_ +=
+      platform::platform_by_name(platform_).cost_usd(ranks_, seconds);
+}
+
+double Controller::cost_per_iteration_usd(double single_platform_usd) const {
+  if (outcome_.migrations == 0) return single_platform_usd;
+  double total = 0.0;
+  for (const double c : step_cost_usd_) {
+    total += c;
+  }
+  return total / steps_total_;
 }
 
 void Controller::record_storm(int step, double virtual_time_s) {
@@ -228,31 +279,25 @@ void Controller::record_storm(int step, double virtual_time_s) {
   if (!policy_.enabled) {
     return;
   }
-  obs::Json j = base_record("storm", policy_.run_label, attempt_);
-  j.set("platform", platform_);
-  j.set("ranks", ranks_);
-  j.set("step", step);
-  j.set("virtual_time_s", virtual_time_s);
-  append_record(j.dump());
+  append_record(step_record("storm", step, virtual_time_s).dump());
 }
 
 void Controller::record_migration(int checkpoint_step,
-                                  const std::string& from_platform,
-                                  int from_ranks,
-                                  const std::string& to_platform, int to_ranks,
+                                  const std::string& to_platform,
                                   double queue_wait_s) {
-  if (!policy_.enabled) {
-    return;
-  }
   ++outcome_.migrations;
   outcome_.migration_wait_s += queue_wait_s;
   outcome_.migration_cost_usd +=
       std::max(0, steps_total_ - checkpoint_step) * move_.cost_per_step_usd;
-  obs::Json j = base_record("migration", policy_.run_label, attempt_);
-  j.set("from_platform", from_platform);
+  obs::Json j = obs::Json::object();
+  j.set("schema", kTrailSchema);
+  j.set("type", "migration");
+  j.set("run", policy_.run_label);
+  j.set("attempt", attempt_);
+  j.set("from_platform", platform_);
   j.set("to_platform", to_platform);
-  j.set("from_ranks", from_ranks);
-  j.set("to_ranks", to_ranks);
+  j.set("from_ranks", ranks_);
+  j.set("to_ranks", move_.ranks);
   j.set("checkpoint_step", checkpoint_step);
   j.set("queue_wait_s", queue_wait_s);
   j.set("virtual_time_s", elapsed_s() + queue_wait_s);
@@ -260,15 +305,8 @@ void Controller::record_migration(int checkpoint_step,
 }
 
 void Controller::record_migration_failed(const std::string& reason) {
-  if (!policy_.enabled) {
-    return;
-  }
   migration_suppressed_ = true;
-  obs::Json j = base_record("decision", policy_.run_label, attempt_);
-  j.set("platform", platform_);
-  j.set("ranks", ranks_);
-  j.set("step", -1);
-  j.set("virtual_time_s", elapsed_s());
+  obs::Json j = step_record("decision", -1, elapsed_s());
   j.set("action", "stay");
   j.set("stay_finish_s", 0.0);
   j.set("move_finish_s", 0.0);

@@ -10,20 +10,22 @@
 /// gid-keyed redistribution machinery; the controller records every sample,
 /// decision, storm, and migration as a `heterolab-rebroker-v1` JSONL line.
 ///
-/// Determinism contract: a Controller is a value. The runner keeps one copy
-/// per simulated rank plus a canonical host copy; every rank's copy sees the
-/// identical step stream (step times are allreduced maxima), so all copies
-/// reach the same migrate/stay decision without communication, and rank 0's
-/// copy is adopted as canonical after each attempt. All pricing inputs are
-/// coordinate-hashed, so replays from the same seed are byte-identical at
-/// any `--jobs` level.
+/// A Controller is one of the three mid-run controllers of a direct run
+/// (support/mid_run.hpp); docs/resilience.md ("Mid-run controllers") states
+/// how the runner replicates it per rank and adopts it back. All pricing
+/// inputs are coordinate-hashed, so replays from the same seed are
+/// byte-identical at any `--jobs` level.
 
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "obs/drift.hpp"
+#include "obs/json.hpp"
 #include "rebroker/policy.hpp"
 #include "rebroker/quote.hpp"
+#include "support/mid_run.hpp"
 
 namespace hetero::rebroker {
 
@@ -74,56 +76,59 @@ Advice advise(const AdviseInputs& inputs);
 
 class Controller {
  public:
-  Controller() = default;
+  /// `seed` drives the quotes and the fallback submissions.
   /// `backoff_expect_s` and `redo_steps_per_storm` fold the recovery
   /// policy's storm economics into the stay-side projection; the runner
   /// derives them from RecoveryPolicy (first backoff delay, half the
-  /// checkpoint interval).
+  /// checkpoint interval). Throws hetero::Error for a bad enabled policy.
   Controller(const Policy& policy, perf::AppKind app, int cells_per_rank_axis,
              int steps_total, std::uint64_t seed, double backoff_expect_s,
              int redo_steps_per_storm);
 
-  /// Host-side: (re-)prices stay and move for the attempt about to run and
-  /// resets the per-attempt drift fold. `elapsed_base_s` / `spent_base_usd`
-  /// carry the virtual clock and spend accumulated by earlier attempts;
-  /// `storms_seen` / `steps_observed` prime the storm-rate estimate.
-  void begin_attempt(int attempt, const std::string& platform, int ranks,
-                     int start_step, double elapsed_base_s,
-                     double spent_base_usd, int storms_seen,
-                     int steps_observed);
+  /// Host-side: (re-)prices stay and move for the attempt about to run on
+  /// `platform` and resets the per-attempt drift fold.
+  void begin_attempt(int attempt, const std::string& platform, int ranks);
 
-  /// Rank-side, called after the absolute step `step` completes with the
-  /// allreduced step seconds and its dollar cost. Returns true when the
-  /// verdict asks for a migration (the caller checkpoints and unwinds).
-  /// Identical on every rank by construction.
-  bool observe_step(int step, double step_seconds, double step_cost_usd);
+  /// Rank-side: folds the step's allreduced seconds and dollars, and asks
+  /// for a checkpoint-and-stop when the verdict says migrate. Identical on
+  /// every rank by construction.
+  midrun::Verdict observe_step(const midrun::Step& step);
 
-  /// Host-side trail entries on the canonical copy. record_storm counts
-  /// storms even while the policy is disabled (the outcome still reports
-  /// what the run endured); the others are no-ops when disabled.
-  void record_storm(int step, double virtual_time_s);
-  void record_migration(int checkpoint_step, const std::string& from_platform,
-                        int from_ranks, const std::string& to_platform,
-                        int to_ranks, double queue_wait_s);
-  /// A failed fallback submission suppresses further migration attempts.
-  void record_migration_failed(const std::string& reason);
+  /// Host-side, after the attempt that asked to migrate: submits the job to
+  /// the fallback on a hashed stream, charges the attempt to the job clock,
+  /// and returns the new platform and ranks; an empty Move when the
+  /// fallback refused (which suppresses further migrations).
+  std::optional<midrun::Move> on_stop(double elapsed_s, int checkpoint_step);
 
-  bool enabled() const { return policy_.enabled; }
-  const Policy& policy() const { return policy_; }
-  /// Virtual clock / spend including the attempt in flight.
-  double elapsed_s() const { return elapsed_base_s_ + elapsed_attempt_s_; }
-  double spent_usd() const { return spent_base_usd_ + spent_attempt_usd_; }
-  int steps_observed() const {
-    return steps_observed_base_ + steps_observed_attempt_;
-  }
-  /// Resolved fallback rank count for the current attempt (0 = infeasible).
-  int move_ranks() const { return move_.ranks; }
+  /// Host-side: charges the dead attempt and its backoff to the job clock,
+  /// and counts a storm (even while disabled, so the outcome still reports
+  /// what the market did).
+  void on_fault(const midrun::Fault& fault);
+
   const Outcome& outcome() const { return outcome_; }
-  Outcome take_outcome() { return std::move(outcome_); }
+
+  /// The run's per-iteration dollars. A migrated run blends the per-step
+  /// dollars each platform billed (each step on the platform it last ran
+  /// on); otherwise `single_platform_usd` stands, so an adaptive run that
+  /// never moves prices identically to a static one.
+  double cost_per_iteration_usd(double single_platform_usd) const;
 
  private:
   void append_record(const std::string& line) { outcome_.trail.push_back(line); }
   AdviseInputs make_inputs(int steps_done) const;
+  /// A trail record of `type` stamped with the run, attempt, platform,
+  /// ranks, step and virtual time.
+  obs::Json step_record(const char* type, int step,
+                        double virtual_time_s) const;
+  /// Virtual clock / spend including the attempt in flight.
+  double elapsed_s() const { return elapsed_base_s_ + elapsed_attempt_s_; }
+  double spent_usd() const { return spent_base_usd_ + spent_attempt_usd_; }
+  void record_storm(int step, double virtual_time_s);
+  void record_migration(int checkpoint_step, const std::string& to_platform,
+                        double queue_wait_s);
+  void record_migration_failed(const std::string& reason);
+  /// Adds an attempt's virtual seconds, billed on the current platform.
+  void charge(double seconds);
 
   Policy policy_;
   perf::AppKind app_ = perf::AppKind::kReactionDiffusion;
@@ -140,10 +145,10 @@ class Controller {
   double spent_base_usd_ = 0.0;
   double elapsed_attempt_s_ = 0.0;
   double spent_attempt_usd_ = 0.0;
-  int storms_seen_ = 0;
-  int steps_observed_base_ = 0;
-  int steps_observed_attempt_ = 0;
+  int steps_observed_ = 0;  ///< over all attempts, dead ones included
   bool migration_suppressed_ = false;
+  bool migration_due_ = false;
+  std::vector<double> step_cost_usd_;  ///< sized only when enabled
   obs::DriftEstimator drift_;
   PlatformQuote stay_;
   PlatformQuote move_;

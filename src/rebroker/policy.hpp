@@ -59,7 +59,7 @@ struct Policy {
 };
 
 /// What the re-broker did during one direct run, including the rendered
-/// heterolab-rebroker-v1 decision trail (rank 0's canonical copy).
+/// heterolab-rebroker-v1 decision trail (of the adopted replica).
 struct Outcome {
   int samples = 0;     ///< sample records written
   int decisions = 0;   ///< decision evaluations (stay and migrate alike)

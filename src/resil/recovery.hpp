@@ -8,10 +8,13 @@
 /// exponential backoff whose delay is charged to simulated time-to-solution.
 /// RecoveryStats is the ledger: how many attempts, how much work was wasted,
 /// how much was saved by checkpoints, and what the detours cost in dollars.
+/// Recovery is the mid-run controller a direct run drives with them.
 
+#include <optional>
 #include <string>
 
 #include "support/error.hpp"
+#include "support/mid_run.hpp"
 
 namespace hetero::resil {
 
@@ -29,7 +32,8 @@ struct RecoveryPolicy {
   RecoveryKind kind = RecoveryKind::kNone;
   /// Checkpoint every K completed steps (kCheckpointRestart only).
   int checkpoint_every = 2;
-  /// Total attempts (first try included) before reporting failure.
+  /// Faulted attempts (first try included) before reporting failure; the
+  /// attempts a rebalance or migration starts do not count.
   int max_attempts = 5;
   /// Retry delay: min(cap, base * factor^retry), charged to simulated time.
   double backoff_base_s = 30.0;
@@ -45,7 +49,8 @@ double backoff_delay_s(const RecoveryPolicy& policy, int retry);
 
 /// Per-experiment resilience ledger, surfaced as `resil.*` metrics.
 struct RecoveryStats {
-  int attempts = 1;            ///< Direct-run attempts (1 = fault-free).
+  int attempts = 1;            ///< Direct-run attempts; every fault,
+                               ///< rebalance and migration starts one.
   int faults_injected = 0;     ///< Rank crashes that fired.
   int launch_retries = 0;      ///< Transient launch failures retried.
   int steps_wasted = 0;        ///< Solver steps whose work was thrown away.
@@ -56,6 +61,34 @@ struct RecoveryStats {
   double wasted_cost_usd = 0.0;///< Dollars burnt by dead attempts.
   bool recovered = false;      ///< At least one fault fired and was survived.
   int final_ranks = 0;         ///< Rank count of the successful attempt.
+};
+
+/// The recovery controller of a direct run (support/mid_run.hpp): asks for
+/// a checkpoint every checkpoint_every steps, and after a fault books the
+/// dead attempt, decides the retry and its backoff, and shrinks the
+/// assembly. It counts its own retries: the faults, not the attempts, so
+/// clean stops by the other controllers never spend the budget.
+class Recovery {
+ public:
+  /// Throws hetero::Error for a checkpoint interval below 1 under ckpt.
+  explicit Recovery(const RecoveryPolicy& policy);
+
+  void begin_attempt(int attempt, const std::string&, int) {
+    stats_.attempts = attempt + 1;
+  }
+  midrun::Verdict observe_step(const midrun::Step& step) const;
+  std::optional<midrun::Move> on_stop(double, int) const {
+    return std::nullopt;  // never stops a run
+  }
+  /// Retries until the faults reach max_attempts (never under kNone);
+  /// retry n waits backoff_delay_s(policy, n).
+  void on_fault(midrun::Fault& fault);
+  /// checkpoints_written and final_ranks are the runner's to fill.
+  const RecoveryStats& outcome() const { return stats_; }
+
+ private:
+  RecoveryPolicy policy_;
+  RecoveryStats stats_;
 };
 
 /// Thrown inside a simmpi rank to simulate its host dying. Runtime::run

@@ -51,6 +51,11 @@ expect_run(ok ""
   --app rd --platform puma --ranks 8 --mode direct --cells 4
   --faults 0.05 --recovery ckpt --ckpt-every 2 --seed 4)
 
+# A checkpoint interval below 1 is rejected before launch, not mid-run.
+expect_run(fail "checkpoint interval must be >= 1"
+  --app rd --platform puma --ranks 8 --mode direct --cells 3
+  --recovery ckpt --ckpt-every 0)
+
 # --- skew / balance flag-interaction audit ----------------------------------
 
 # Skew stretches virtual-clock compute charges: meaningless outside direct

@@ -2,12 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <sstream>
 
 #include "core/campaign.hpp"
 #include "core/campaign_engine.hpp"
 #include "core/experiment.hpp"
 #include "core/report.hpp"
+#include "obs/bench_io.hpp"
+#include "obs/json.hpp"
 #include "support/error.hpp"
 
 namespace hetero::core {
@@ -189,11 +192,25 @@ TEST(Runner, UnrecoveredFaultReportsFailureNotAnException) {
   e.direct_steps = 4;
   e.faults.rank_crash_rate = 1.0;  // every attempt dies at step 0
   e.recovery.kind = resil::RecoveryKind::kNone;
+  e.trace_path = ::testing::TempDir() + "core_test_unrecovered.trace.json";
+  std::remove(e.trace_path.c_str());
   const auto r = runner.run(e);
   EXPECT_FALSE(r.launched);
   EXPECT_NE(r.failure_reason.find("injected fault"), std::string::npos);
   EXPECT_NE(r.failure_reason.find("unrecovered"), std::string::npos);
   EXPECT_EQ(r.resil.faults_injected, 1);
+
+  // A failed run still writes its trace, and the trace shows the crash.
+  const auto records = obs::read_jsonl(e.trace_path);  // one JSON document
+  ASSERT_EQ(records.size(), 1u);
+  const obs::Json& events = records[0].at("traceEvents");
+  bool crashed = false;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    crashed = crashed || events[i].at("name").as_string() == "rank_crash";
+  }
+  EXPECT_TRUE(crashed) << "no rank_crash instant in " << e.trace_path;
+  std::remove(e.trace_path.c_str());
+  e.trace_path.clear();
 
   // Scratch restarts cannot make progress either when every step-0 cell is
   // armed — the policy gives up after max_attempts, not an infinite loop.

@@ -5,9 +5,9 @@
 // precision. The overhaul's contract is that the fast kernels change *time*
 // only, so both modes must still reproduce every digit.
 //
-// Also covered here: the 8-rank RD fingerprint and a storm-faulted run's
-// wasted time on one and on several simmpi host threads (ctest runs that
-// suite as kernels_host_threads_test),
+// Also covered here: the 8-rank RD fingerprint and a table of faulted and
+// rebalanced direct runs, each on one and on several simmpi host threads
+// (ctest runs that suite as kernels_host_threads_test),
 // persistent halo scratch buffers staying put across steps and across a
 // checkpointed 27 -> 8 rank shrink, and the frozen assembly scatter +
 // DirichletPlan pair producing the same eliminated system as the reference
@@ -35,6 +35,7 @@
 #include "mesh/box_mesh.hpp"
 #include "netsim/fabric.hpp"
 #include "simmpi/runtime.hpp"
+#include "svc/result_codec.hpp"
 
 namespace hetero {
 namespace {
@@ -279,11 +280,16 @@ TEST(HostThreads, RdEightRanksMatchGoldenOnOneAndManyHostThreads) {
   expect_lines(spread, kRdEightRanks);
 }
 
-// A spot-reclaim storm kills an attempt while the other ranks may be
-// anywhere in the step on other host threads. The dead attempt is charged
-// the throwing rank's clock, so the wasted time, its dollars and the
-// re-brokering trail built on them are the same on one host thread and on
-// many.
+// A fault kills an attempt while the other ranks may be anywhere in the
+// step on other host threads. The dead attempt is charged the throwing
+// rank's clock, and the host adopts the thrower's replica of the mid-run
+// controllers, the only one sure to hold every step, checkpoint and
+// observation before the fault. So the whole result is the same on one
+// host thread and on many: a storm under re-brokering, rank crashes right
+// after a checkpoint (seeds 2 and 8), a crash after a migration, and a
+// rebalancing run. Each row is `heterolab run --app rd --ranks 8 --mode
+// direct --cells 3 --steps 8` plus the row's flags; the runner seed is
+// the CLI --seed.
 TEST(HostThreads, FaultedAttemptWasteMatchesOnOneAndManyHostThreads) {
   cpu_set_t mask;
   ASSERT_EQ(::sched_getaffinity(0, sizeof(mask), &mask), 0);
@@ -291,30 +297,69 @@ TEST(HostThreads, FaultedAttemptWasteMatchesOnOneAndManyHostThreads) {
     GTEST_SKIP() << "the affinity mask holds one CPU, so every run would "
                     "use one host thread";
   }
-  core::Experiment e;
-  e.platform = "ec2";
-  e.ranks = 8;
-  e.mode = core::Mode::kDirect;
-  e.cells_per_rank_axis = 3;
-  e.direct_steps = 8;
-  e.faults.reclaim_storm_rate = 0.1;
-  e.recovery.kind = resil::RecoveryKind::kCheckpointRestart;
-  e.recovery.checkpoint_every = 2;
-  e.rebroker.enabled = true;
-  e.rebroker.fallback_platform = "puma";
-  auto run = [&] { return core::ExperimentRunner(2).run(e); };
-
-  core::ExperimentResult pinned;
+  core::Experiment base;
+  base.ranks = 8;
+  base.mode = core::Mode::kDirect;
+  base.cells_per_rank_axis = 3;
+  base.direct_steps = 8;
+  base.recovery.checkpoint_every = 2;
+  struct Row {
+    const char* flags;
+    std::uint64_t seed;
+    core::Experiment e;
+  };
+  std::vector<Row> rows;
+  auto row = [&](const char* flags, std::uint64_t seed) -> core::Experiment& {
+    rows.push_back({flags, seed, base});
+    return rows.back().e;
+  };
   {
-    ScopedAffinity pin(first_cpu_only(mask));
-    pinned = run();
+    core::Experiment& e = row(
+        "--platform ec2 --storm-rate 0.1 --recovery ckpt --rebroker puma", 2);
+    e.platform = "ec2";
+    e.faults.reclaim_storm_rate = 0.1;
+    e.recovery.kind = resil::RecoveryKind::kCheckpointRestart;
+    e.rebroker.enabled = true;
   }
-  ASSERT_GT(pinned.resil.faults_injected, 0) << "the storm never fired";
-  for (int i = 0; i < 5; ++i) {
-    const core::ExperimentResult spread = run();
-    EXPECT_EQ(spread.resil.wasted_sim_s, pinned.resil.wasted_sim_s);
-    EXPECT_EQ(spread.resil.wasted_cost_usd, pinned.resil.wasted_cost_usd);
-    EXPECT_EQ(spread.rebroker.trail, pinned.rebroker.trail);
+  for (const std::uint64_t seed : {2, 8}) {
+    core::Experiment& e =
+        row("--platform puma --faults 0.05 --recovery ckpt", seed);
+    e.faults.rank_crash_rate = 0.05;
+    e.recovery.kind = resil::RecoveryKind::kCheckpointRestart;
+  }
+  {
+    core::Experiment& e = row(
+        "--platform ec2 --rebroker puma --faults 0.04 --recovery ckpt", 1);
+    e.platform = "ec2";
+    e.faults.rank_crash_rate = 0.04;
+    e.recovery.kind = resil::RecoveryKind::kCheckpointRestart;
+    e.rebroker.enabled = true;
+  }
+  {
+    core::Experiment& e = row(
+        "--platform puma --skew 4 --skew-fraction 0.25 --balance "
+        "--balance-threshold 1.1",
+        42);
+    e.skew.slow_core_factor = 4.0;
+    e.skew.slow_core_fraction = 0.25;
+    e.balance.enabled = true;
+    e.balance.threshold = 1.1;
+  }
+
+  for (const Row& r : rows) {
+    auto run = [&] { return core::ExperimentRunner(r.seed).run(r.e); };
+    core::ExperimentResult pinned;
+    {
+      ScopedAffinity pin(first_cpu_only(mask));
+      pinned = run();
+    }
+    EXPECT_GT(pinned.resil.faults_injected + pinned.balance.rebalances, 0)
+        << r.flags << ": nothing fired";
+    const std::string bytes = svc::encode_result(pinned);
+    for (int i = 0; i < 5; ++i) {
+      EXPECT_EQ(svc::encode_result(run()), bytes)
+          << r.flags << " --seed " << r.seed;
+    }
   }
 }
 

@@ -453,6 +453,54 @@ TEST(LoadBalancedRun, ApiRejectsConflictingConfigurations) {
   EXPECT_THROW(runner.run(e), Error);
 }
 
+// Rebalances and migrations end an attempt cleanly; only faults spend the
+// crash-retry budget, and retry n waits backoff_delay_s(policy, n). Each
+// case is `heterolab run --app rd --ranks 8 --mode direct --cells 3
+// --steps 8 --recovery ckpt --ckpt-every 2` plus the flags below, with
+// the runner seed as --seed; every one mixes clean stops with faults.
+TEST(LoadBalancedRun, RebalancesDoNotSpendTheRetryBudget) {
+  core::Experiment base = direct_rd(8, 8);
+  base.cells_per_rank_axis = 3;
+  base.recovery.kind = resil::RecoveryKind::kCheckpointRestart;
+  base.recovery.checkpoint_every = 2;
+  core::Experiment balanced = base;
+  balanced.skew.slow_core_factor = 2.0;
+  balanced.skew.slow_core_fraction = 0.25;
+  balanced.balance.enabled = true;
+  balanced.balance.threshold = 1.1;
+  balanced.faults.rank_crash_rate = 0.03;
+  core::Experiment migrating = base;
+  migrating.platform = "ec2";
+  migrating.rebroker.enabled = true;
+  migrating.faults.rank_crash_rate = 0.04;
+  const struct {
+    const char* flags;
+    std::uint64_t seed;
+    const core::Experiment& e;
+  } cases[] = {
+      {"--platform puma --skew 2 --balance --balance-threshold 1.1 "
+       "--faults 0.03", 1, balanced},
+      {"--platform puma --skew 2 --balance --balance-threshold 1.1 "
+       "--faults 0.03", 3, balanced},
+      {"--platform ec2 --rebroker puma --faults 0.04", 1, migrating},
+  };
+  for (const auto& c : cases) {
+    const auto r = core::ExperimentRunner(c.seed).run(c.e);
+    const int faults = r.resil.faults_injected;
+    ASSERT_GT(faults, 0) << c.flags << " --seed " << c.seed;
+    EXPECT_GT(r.resil.attempts, faults + 1) << "no clean stop: " << c.flags;
+    EXPECT_LT(faults, c.e.recovery.max_attempts);
+    EXPECT_TRUE(r.launched) << c.flags << " --seed " << c.seed << ": "
+                            << r.failure_reason;
+    double expected_delay = 0.0;
+    for (int i = 0; i < faults; ++i) {
+      expected_delay += resil::backoff_delay_s(c.e.recovery, i);
+    }
+    EXPECT_EQ(r.resil.retry_delay_s, expected_delay)
+        << c.flags << " --seed " << c.seed;
+  }
+}
+
 TEST(ModeledRun, SkewDegradesModeledTimeByTheUnbalancedSlowdown) {
   core::ExperimentRunner runner(42);
   core::Experiment base;

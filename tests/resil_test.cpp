@@ -205,6 +205,61 @@ TEST(RecoveryTest, KindNamesRoundTrip) {
   }
 }
 
+// The recovery controller's hooks: checkpoints every K steps but never
+// after the last, retries counted by faults (not by the attempt index,
+// which clean stops also advance), backoff per retry, shrink per crash.
+TEST(RecoveryTest, ControllerCountsItsOwnRetriesAndShrinks) {
+  RecoveryPolicy policy;
+  policy.kind = RecoveryKind::kCheckpointRestart;
+  policy.checkpoint_every = 2;
+  policy.max_attempts = 3;
+  policy.shrink_ranks_on_crash = true;
+  Recovery recovery(policy);
+  EXPECT_EQ(recovery.observe_step({0, 1.0, 0.0, {}, false}).action,
+            midrun::Action::kContinue);
+  EXPECT_EQ(recovery.observe_step({1, 1.0, 0.0, {}, false}).action,
+            midrun::Action::kCheckpoint);
+  EXPECT_EQ(recovery.observe_step({3, 1.0, 0.0, {}, true}).action,
+            midrun::Action::kContinue);
+  EXPECT_FALSE(recovery.on_stop(1.0, 2).has_value());
+
+  recovery.begin_attempt(4, "puma", 27);  // four clean stops came first
+  midrun::Fault first{5, false, 10.0, 0.5, 4, 27};
+  recovery.on_fault(first);
+  EXPECT_TRUE(first.retry);
+  EXPECT_EQ(first.retry_delay_s, backoff_delay_s(policy, 0));
+  EXPECT_EQ(first.ranks, 8);
+  recovery.begin_attempt(5, "puma", 8);
+  midrun::Fault second{6, true, 5.0, 0.25, 6, 8};
+  recovery.on_fault(second);
+  EXPECT_TRUE(second.retry);
+  EXPECT_EQ(second.retry_delay_s, backoff_delay_s(policy, 1));
+  EXPECT_EQ(second.ranks, 1);
+  recovery.begin_attempt(6, "puma", 1);
+  midrun::Fault third{7, false, 2.0, 0.125, 6, 1};
+  recovery.on_fault(third);
+  EXPECT_FALSE(third.retry);  // the third fault reaches max_attempts
+
+  const RecoveryStats& stats = recovery.outcome();
+  EXPECT_EQ(stats.attempts, 7);
+  EXPECT_EQ(stats.faults_injected, 3);
+  EXPECT_EQ(stats.steps_wasted, 1 + 0 + 1);
+  EXPECT_EQ(stats.steps_recovered, 4 + 6);
+  EXPECT_EQ(stats.retry_delay_s,
+            backoff_delay_s(policy, 0) + backoff_delay_s(policy, 1));
+  EXPECT_EQ(stats.wasted_sim_s, 17.0);
+  EXPECT_EQ(stats.wasted_cost_usd, 0.875);
+  EXPECT_FALSE(stats.recovered);
+
+  policy.checkpoint_every = 0;
+  EXPECT_THROW(Recovery{policy}, Error);
+  policy.kind = RecoveryKind::kNone;  // the interval is unused there
+  Recovery none(policy);
+  midrun::Fault only{0, false, 1.0, 0.0, 0, 8};
+  none.on_fault(only);
+  EXPECT_FALSE(only.retry);
+}
+
 TEST(RecoveryTest, InjectedFaultNamesRankAndStep) {
   const InjectedFault fault(3, 7, 1.5);
   EXPECT_EQ(fault.rank(), 3);

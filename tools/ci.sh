@@ -227,10 +227,13 @@ leg_asan() {
 
 # TSan slows tests ~10x, so it runs the tests that exercise cross-thread
 # code: rank fibers over host threads, halo exchange, the sharded metric
-# state, the campaign engine's pool, and the kernel-mode differentials.
+# state, the campaign engine's pool, the kernel-mode differentials, and the
+# direct-run abort path (core_test's Runner.DirectFault* and
+# Runner.UnrecoveredFault*, and the faulted and rebalanced runs of the
+# host-thread table in kernels_host_threads_test).
 leg_tsan() {
   build_leg tsan -DCMAKE_BUILD_TYPE=RelWithDebInfo -DHETERO_SANITIZE=thread
-  run_ctest -R '^(simmpi_test|resil_test|la_test|la_prop_test|kernels_diff_test|kernels_host_threads_test|obs_test|campaign_engine_test|rebroker_test|lb_test|svc_test|proc_test|grid_test)$'
+  run_ctest -R '^(simmpi_test|resil_test|la_test|la_prop_test|kernels_diff_test|kernels_host_threads_test|obs_test|core_test|campaign_engine_test|rebroker_test|lb_test|svc_test|proc_test|grid_test)$'
 }
 
 if [ "$#" -eq 0 ]; then
