@@ -5,7 +5,6 @@
 // (puma's 128-core ceiling, ellipse above 512 ranks, lagrange above 343).
 //
 // Flags: --csv          emit CSV instead of the aligned table
-//        --cells N      elements per rank per axis (default 20)
 //        --jobs N       evaluate experiments on N worker threads; the
 //                       table (and the JSONL) is byte-identical at any N
 //        --validate     additionally run a small direct (thread-level)
@@ -22,45 +21,13 @@ int main(int argc, char** argv) {
   using namespace hetero;
   const CliArgs args(argc, argv);
   bench::BenchOutput out(args, "fig4_rd_weak_scaling");
-  const int cells = static_cast<int>(args.get_int("cells", 20));
 
   auto engine = bench::make_engine(args);
   std::cout << "# Figure 4 — weak scaling of the RD 3-D simulation "
-               "(initial mesh "
-            << cells << "^3 per process)\n";
+               "(initial mesh 20^3 per process)\n";
   const auto procs = core::paper_process_counts();
-  Table table({"platform", "procs", "assembly[s]", "precond[s]", "solve[s]",
-               "total[s]", "iters", "status"});
-  std::vector<core::Experiment> batch;
-  batch.reserve(platform::all_platforms().size() * procs.size());
-  for (const auto* spec : platform::all_platforms()) {
-    for (int p : procs) {
-      core::Experiment e;
-      e.app = perf::AppKind::kReactionDiffusion;
-      e.platform = spec->name;
-      e.ranks = p;
-      e.cells_per_rank_axis = cells;
-      batch.push_back(e);
-    }
-  }
-  const auto results = engine.run_batch(batch);
-  std::size_t i = 0;
-  for (const auto* spec : platform::all_platforms()) {
-    for (int p : procs) {
-      const auto& r = results[i++];
-      if (!r.launched) {
-        table.add_row({spec->name, std::to_string(p), "-", "-", "-", "-",
-                       "-", "FAILED: " + r.failure_reason});
-        continue;
-      }
-      table.add_row({spec->name, std::to_string(p),
-                     fmt_double(r.iteration.assembly_s, 3),
-                     fmt_double(r.iteration.preconditioner_s, 3),
-                     fmt_double(r.iteration.solve_s, 3),
-                     fmt_double(r.iteration.total_s, 2),
-                     fmt_double(r.iteration.solver_iterations, 0), "ok"});
-    }
-  }
+  const Table table = core::weak_scaling_figure(
+      engine, perf::AppKind::kReactionDiffusion, procs);
   out.emit(table);
 
   if (args.get_bool("validate", false)) {

@@ -15,12 +15,10 @@ int main(int argc, char** argv) {
   using namespace hetero;
   const CliArgs args(argc, argv);
   bench::BenchOutput out(args, "fig5_ns_weak_scaling");
-  const int cells = static_cast<int>(args.get_int("cells", 20));
 
   auto engine = bench::make_engine(args);
   std::cout << "# Figure 5 — weak scaling of the Navier-Stokes 3-D "
-               "simulation (initial mesh "
-            << cells << "^3 per process)\n";
+               "simulation (initial mesh 20^3 per process)\n";
   const auto procs = core::paper_process_counts();
   const Table table =
       core::weak_scaling_figure(engine, perf::AppKind::kNavierStokes, procs);

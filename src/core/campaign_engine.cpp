@@ -4,9 +4,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdlib>
-#include <deque>
 #include <exception>
-#include <limits>
 #include <mutex>
 #include <thread>
 #include <unordered_map>
@@ -17,14 +15,6 @@
 #include "support/error.hpp"
 
 namespace hetero::core {
-
-namespace {
-
-/// True on threads currently executing a pool task; parallel_for uses it to
-/// run nested fan-outs inline instead of deadlocking on its own pool.
-thread_local bool t_inside_pool_task = false;
-
-}  // namespace
 
 int resolve_jobs(int requested) {
   if (requested > 0) {
@@ -52,165 +42,108 @@ std::string experiment_cache_key(const Experiment& e,
   return key;
 }
 
-/// Work-stealing pool: one index deque per worker, own-queue FIFO pops,
-/// tail steals from the neighbours. Only one batch is in flight at a time
-/// (parallel_for serializes callers), so tasks are plain indices into the
-/// current batch's body.
+/// Persistent workers that claim the indices of the current range from one
+/// shared counter. One range holds the pool at a time; a caller that finds
+/// it held, a nested call included, gets `false` back and runs its range
+/// inline instead of waiting.
 class CampaignEngine::Pool {
  public:
-  explicit Pool(int workers) : queues_(static_cast<std::size_t>(workers)) {
-    for (auto& q : queues_) {
-      q = std::make_unique<Queue>();
-    }
-    threads_.reserve(queues_.size());
-    for (std::size_t id = 0; id < queues_.size(); ++id) {
-      threads_.emplace_back([this, id] { worker_main(id); });
+  Pool(int workers, obs::Gauge& queue_depth) : queue_depth_(queue_depth) {
+    for (int i = 0; i < workers; ++i) {
+      threads_.emplace_back(
+          [this](const std::stop_token& stop) { worker_main(stop); });
     }
   }
 
-  ~Pool() {
+  /// Runs body(i) for every i in [0, n) on the workers and the calling
+  /// thread, then rethrows the failure with the lowest index. Returns
+  /// false, having run nothing, while another range holds the pool.
+  bool try_run(std::size_t n, const std::function<void(std::size_t)>& body) {
     {
-      std::lock_guard<std::mutex> lock(wake_mutex_);
-      shutdown_ = true;
+      std::lock_guard<std::mutex> lock(mutex_);
+      if (body_ != nullptr) {
+        return false;
+      }
+      body_ = &body;
+      n_ = n;
+      next_ = 0;
+      error_ = nullptr;
+      error_index_ = n;
+      ++generation_;
     }
+    queue_depth_.set(static_cast<double>(n));
     wake_cv_.notify_all();
-    for (auto& t : threads_) {
-      t.join();
-    }
-  }
-
-  /// Distributes [0, n) over the workers, participates in the drain, and
-  /// rethrows the failure with the lowest index once everything finished.
-  void run(std::size_t n, const std::function<void(std::size_t)>& body,
-           obs::Gauge& queue_depth) {
-    std::lock_guard<std::mutex> batch_guard(batch_mutex_);
-    body_ = &body;
-    queue_depth_ = &queue_depth;
-    error_ = nullptr;
-    error_index_ = std::numeric_limits<std::size_t>::max();
-    remaining_.store(n, std::memory_order_relaxed);
-    unclaimed_.store(n, std::memory_order_relaxed);
-    queue_depth.set(static_cast<double>(n));
-    for (std::size_t i = 0; i < n; ++i) {
-      Queue& q = *queues_[i % queues_.size()];
-      std::lock_guard<std::mutex> lock(q.mutex);
-      q.indices.push_back(i);
-    }
-    {
-      // Taking the mutex orders the unclaimed_ store before any sleeping
-      // worker's next predicate check, so the notify cannot be lost.
-      std::lock_guard<std::mutex> lock(wake_mutex_);
-    }
-    wake_cv_.notify_all();
-
     // The submitting thread works too: pool width `jobs` means `jobs`
     // executors, not jobs + 1.
-    std::size_t index = 0;
-    while (claim(0, index)) {
-      execute(index);
-    }
+    drain();
+    std::exception_ptr error;
     {
-      std::unique_lock<std::mutex> lock(done_mutex_);
-      done_cv_.wait(lock, [&] {
-        return remaining_.load(std::memory_order_acquire) == 0;
-      });
+      // Every index is claimed; wait for the workers still running theirs.
+      // Workers join only while body_ is set, so none is left in drain().
+      std::unique_lock<std::mutex> lock(mutex_);
+      done_cv_.wait(lock, [&] { return draining_ == 0; });
+      body_ = nullptr;
+      error = error_;
     }
-    body_ = nullptr;
-    queue_depth.set(0.0);
-    if (error_ != nullptr) {
-      std::rethrow_exception(error_);
+    queue_depth_.set(0.0);
+    if (error != nullptr) {
+      std::rethrow_exception(error);
     }
+    return true;
   }
 
  private:
-  struct Queue {
-    std::mutex mutex;
-    std::deque<std::size_t> indices;
-  };
-
-  bool claim(std::size_t home, std::size_t& index) {
-    if (unclaimed_.load(std::memory_order_acquire) == 0) {
-      return false;
+  /// Claims and runs indices until the counter passes the end of the range.
+  void drain() {
+    for (std::size_t i = next_++; i < n_; i = next_++) {
+      queue_depth_.set(static_cast<double>(n_ - i - 1));
+      try {
+        (*body_)(i);
+      } catch (...) {
+        std::lock_guard<std::mutex> lock(mutex_);
+        if (i < error_index_) {
+          error_index_ = i;
+          error_ = std::current_exception();
+        }
+      }
     }
-    // Own queue first (front: submission order), then steal tails.
-    for (std::size_t attempt = 0; attempt < queues_.size(); ++attempt) {
-      Queue& q = *queues_[(home + attempt) % queues_.size()];
-      std::lock_guard<std::mutex> lock(q.mutex);
-      if (q.indices.empty()) {
-        continue;
-      }
-      if (attempt == 0) {
-        index = q.indices.front();
-        q.indices.pop_front();
-      } else {
-        index = q.indices.back();
-        q.indices.pop_back();
-      }
-      const std::size_t left =
-          unclaimed_.fetch_sub(1, std::memory_order_acq_rel) - 1;
-      if (queue_depth_ != nullptr) {
-        queue_depth_->set(static_cast<double>(left));
-      }
-      return true;
-    }
-    return false;
   }
 
-  void execute(std::size_t index) {
-    const bool was_inside = t_inside_pool_task;
-    t_inside_pool_task = true;
-    try {
-      (*body_)(index);
-    } catch (...) {
-      std::lock_guard<std::mutex> lock(error_mutex_);
-      if (index < error_index_) {
-        error_index_ = index;
-        error_ = std::current_exception();
+  void worker_main(const std::stop_token& stop) {
+    for (std::uint64_t seen = 0;;) {
+      {
+        std::unique_lock<std::mutex> lock(mutex_);
+        if (!wake_cv_.wait(lock, stop, [&] {
+              return body_ != nullptr && generation_ != seen;
+            })) {
+          return;  // the pool is being destroyed
+        }
+        seen = generation_;
+        ++draining_;
       }
-    }
-    t_inside_pool_task = was_inside;
-    if (remaining_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      std::lock_guard<std::mutex> lock(done_mutex_);
+      drain();
+      {
+        std::lock_guard<std::mutex> lock(mutex_);
+        --draining_;
+      }
       done_cv_.notify_all();
     }
   }
 
-  void worker_main(std::size_t id) {
-    for (;;) {
-      std::size_t index = 0;
-      if (claim(id, index)) {
-        execute(index);
-        continue;
-      }
-      std::unique_lock<std::mutex> lock(wake_mutex_);
-      wake_cv_.wait(lock, [&] {
-        return shutdown_ || unclaimed_.load(std::memory_order_acquire) > 0;
-      });
-      if (shutdown_) {
-        return;
-      }
-    }
-  }
-
-  std::vector<std::unique_ptr<Queue>> queues_;
-  std::vector<std::thread> threads_;
-
-  std::mutex batch_mutex_;  // one batch in flight at a time
-  const std::function<void(std::size_t)>* body_ = nullptr;
-  obs::Gauge* queue_depth_ = nullptr;
-  std::atomic<std::size_t> remaining_{0};
-  std::atomic<std::size_t> unclaimed_{0};
-
-  std::mutex wake_mutex_;
-  std::condition_variable wake_cv_;
-  bool shutdown_ = false;
-
-  std::mutex done_mutex_;
+  obs::Gauge& queue_depth_;
+  // The current range; written under mutex_ while no worker drains.
+  std::mutex mutex_;
+  std::condition_variable_any wake_cv_;
   std::condition_variable done_cv_;
-
-  std::mutex error_mutex_;
+  const std::function<void(std::size_t)>* body_ = nullptr;
+  std::size_t n_ = 0;
+  std::atomic<std::size_t> next_{0};
+  std::uint64_t generation_ = 0;
+  int draining_ = 0;  // workers inside drain()
   std::exception_ptr error_;
-  std::size_t error_index_ = std::numeric_limits<std::size_t>::max();
+  std::size_t error_index_ = 0;
+  // Last member, so destruction stops and joins the workers first.
+  std::vector<std::jthread> threads_;
 };
 
 struct CampaignEngine::Impl {
@@ -243,7 +176,7 @@ struct CampaignEngine::Impl {
   int peak_inflight = 0;
 
   // Lazily built pool (never built when jobs == 1).
-  std::mutex pool_mutex;
+  std::once_flag pool_once;
   std::unique_ptr<Pool> pool;
 
   // Engine counters (stats() snapshot).
@@ -266,9 +199,7 @@ CampaignEngine::CampaignEngine(std::uint64_t seed,
     : seed_(seed), options_(options) {
   jobs_ = resolve_jobs(options_.jobs);
   const unsigned hw = std::thread::hardware_concurrency();
-  const int hw_threads = hw == 0 ? 1 : static_cast<int>(hw);
-  budget_ = options_.thread_budget > 0 ? options_.thread_budget
-                                       : std::max(jobs_, hw_threads);
+  budget_ = std::max(jobs_, hw == 0 ? 1 : static_cast<int>(hw));
   impl_ = std::make_unique<Impl>(seed_);
 }
 
@@ -322,74 +253,165 @@ ExperimentResult CampaignEngine::execute_uncached(const Experiment& e) {
   return result;
 }
 
-ExperimentResult CampaignEngine::run(const Experiment& e) {
-  // With an executor installed, single runs are one-element batches so the
-  // memo/store/dispatch flow stays in one place. Trace/metrics runs are
-  // exempt: they must execute in *this* process for the files to appear.
-  if (options_.executor != nullptr && !writes_output_files(e)) {
-    return run_batch_executor({e})[0];
-  }
-  // Side-effecting runs (trace/metrics files) are never replayed from the
-  // cache: the caller wants the files written.
-  if (!options_.memoize || writes_output_files(e)) {
-    return execute_uncached(e);
-  }
-  const std::string key = experiment_cache_key(e, seed_);
-  std::shared_ptr<Impl::CacheEntry> entry;
-  bool owner = false;
-  {
-    std::lock_guard<std::mutex> lock(impl_->cache_mutex);
-    auto it = impl_->cache.find(key);
-    if (it == impl_->cache.end()) {
-      entry = std::make_shared<Impl::CacheEntry>();
-      impl_->cache.emplace(key, entry);
-      owner = true;
-    } else {
-      entry = it->second;
+std::vector<ExperimentResult> CampaignEngine::evaluate(
+    std::span<const Experiment> batch) {
+  // One slot per index: its cache entry (null for an output-file run, which
+  // is never cached), whether this call owns the entry, and its error.
+  struct Slot {
+    std::shared_ptr<Impl::CacheEntry> entry;
+    bool owner = false;
+    std::string key;
+    std::exception_ptr error;
+  };
+  const std::size_t n = batch.size();
+  std::vector<ExperimentResult> results(n);
+  std::vector<Slot> slots(n);
+  std::vector<std::size_t> local;   // computed in this process
+  std::vector<std::size_t> remote;  // owned misses for the executor
+  ExperimentResultStore* store = options_.result_store;
+
+  // Runs `step`, recording what it throws as index i's error.
+  const auto guarded = [&](std::size_t i, const auto& step) {
+    try {
+      step();
+    } catch (...) {
+      slots[i].error = std::current_exception();
     }
-  }
-  if (owner) {
+  };
+  // Settles an owner: saves it if it was computed and succeeded, then
+  // publishes it with its error.
+  const auto settle = [&](std::size_t i, bool computed) {
+    Slot& slot = slots[i];
+    if (computed && slot.error == nullptr && store != nullptr) {
+      guarded(i, [&] { store->save(slot.key, results[i]); });
+    }
+    Impl::CacheEntry& entry = *slot.entry;
+    {
+      std::lock_guard<std::mutex> lock(entry.mutex);
+      entry.result = results[i];
+      entry.error = slot.error;
+      entry.ready = true;
+    }
+    entry.cv.notify_all();
+  };
+
+  // Claim: the first submitter of a key owns its entry (a miss), later
+  // ones wait on it (a hit). An owner the result store answers computes
+  // nothing. Output files must appear, so those runs always compute here.
+  for (std::size_t i = 0; i < n; ++i) {
+    Slot& slot = slots[i];
+    if (writes_output_files(batch[i])) {
+      local.push_back(i);
+      continue;
+    }
+    slot.key = experiment_cache_key(batch[i], seed_);
+    {
+      std::lock_guard<std::mutex> lock(impl_->cache_mutex);
+      const auto [it, inserted] = impl_->cache.try_emplace(slot.key);
+      if (inserted) {
+        it->second = std::make_shared<Impl::CacheEntry>();
+      }
+      slot.entry = it->second;
+      slot.owner = inserted;
+    }
+    if (!slot.owner) {
+      impl_->cache_hits.fetch_add(1, std::memory_order_relaxed);
+      impl_->cache_hit_count.increment();
+      continue;
+    }
     impl_->cache_misses.fetch_add(1, std::memory_order_relaxed);
     impl_->cache_miss_count.increment();
-    try {
-      ExperimentResult result;
-      // Second cache level: the persistent store answers across restarts.
-      const bool from_store = options_.result_store != nullptr &&
-                              options_.result_store->load(key, result);
-      if (from_store) {
-        impl_->store_hits.fetch_add(1, std::memory_order_relaxed);
-        obs::metrics().counter("engine.store_hits").increment();
-      } else {
-        result = execute_uncached(e);
-        if (options_.result_store != nullptr) {
-          options_.result_store->save(key, result);
-        }
-      }
-      {
-        std::lock_guard<std::mutex> lock(entry->mutex);
-        entry->result = result;
-        entry->ready = true;
-      }
-      entry->cv.notify_all();
-      return result;
-    } catch (...) {
-      {
-        std::lock_guard<std::mutex> lock(entry->mutex);
-        entry->error = std::current_exception();
-        entry->ready = true;
-      }
-      entry->cv.notify_all();
-      throw;
+    bool stored = false;
+    guarded(i, [&] {
+      stored = store != nullptr && store->load(slot.key, results[i]);
+    });
+    if (stored) {
+      impl_->store_hits.fetch_add(1, std::memory_order_relaxed);
+      obs::metrics().counter("engine.store_hits").increment();
+    }
+    if (stored || slot.error != nullptr) {
+      settle(i, false);
+    } else {
+      (options_.executor != nullptr ? remote : local).push_back(i);
     }
   }
-  impl_->cache_hits.fetch_add(1, std::memory_order_relaxed);
-  impl_->cache_hit_count.increment();
-  std::unique_lock<std::mutex> lock(entry->mutex);
-  entry->cv.wait(lock, [&] { return entry->ready; });
-  if (entry->error != nullptr) {
-    std::rethrow_exception(entry->error);
+
+  // Compute, settling each owner as soon as it is done and before this
+  // call waits on any entry. The executor call is the only fork between
+  // the backends.
+  if (!remote.empty()) {
+    std::vector<Experiment> dispatch;
+    dispatch.reserve(remote.size());
+    for (const std::size_t i : remote) {
+      dispatch.push_back(batch[i]);
+    }
+    std::vector<ExecOutcome> outcomes;
+    guarded(remote[0], [&] {
+      outcomes = options_.executor->execute(dispatch);
+      HETERO_CHECK(outcomes.size() == dispatch.size());
+    });
+    for (std::size_t d = 0; d < remote.size(); ++d) {
+      const std::size_t i = remote[d];
+      if (outcomes.size() != remote.size()) {
+        slots[i].error = slots[remote[0]].error;  // the executor threw
+      } else {
+        impl_->jobs_run.fetch_add(1, std::memory_order_relaxed);
+        impl_->jobs_completed.increment();
+        if (outcomes[d].failed) {
+          slots[i].error = std::make_exception_ptr(Error(outcomes[d].error));
+        } else {
+          results[i] = std::move(outcomes[d].result);
+        }
+      }
+      settle(i, true);
+    }
   }
-  return entry->result;
+  if (!local.empty()) {
+    fan_out(local.size(), [&](std::size_t k) {
+      const std::size_t i = local[k];
+      guarded(i, [&] { results[i] = execute_uncached(batch[i]); });
+      if (slots[i].entry != nullptr) {
+        settle(i, true);
+      }
+    });
+  }
+
+  // Wait on the entries other submitters own, then rethrow the failure
+  // with the lowest index.
+  for (std::size_t i = 0; i < n; ++i) {
+    Slot& slot = slots[i];
+    if (slot.entry == nullptr || slot.owner) {
+      continue;
+    }
+    Impl::CacheEntry& entry = *slot.entry;
+    std::unique_lock<std::mutex> lock(entry.mutex);
+    entry.cv.wait(lock, [&] { return entry.ready; });
+    slot.error = entry.error;
+    if (slot.error == nullptr) {
+      results[i] = entry.result;
+    }
+  }
+  for (const Slot& slot : slots) {
+    if (slot.error != nullptr) {
+      std::rethrow_exception(slot.error);
+    }
+  }
+  return results;
+}
+
+ExperimentResult CampaignEngine::run(const Experiment& e) {
+  return std::move(evaluate(std::span<const Experiment>(&e, 1)).front());
+}
+
+std::vector<ExperimentResult> CampaignEngine::run_batch(
+    const std::vector<Experiment>& batch) {
+  impl_->batches.fetch_add(1, std::memory_order_relaxed);
+  obs::trace_instant("batch_begin", "engine", 0.0, "tasks",
+                     static_cast<double>(batch.size()));
+  std::vector<ExperimentResult> results = evaluate(batch);
+  obs::trace_instant("batch_end", "engine", 0.0, "tasks",
+                     static_cast<double>(batch.size()));
+  return results;
 }
 
 void CampaignEngine::parallel_for(
@@ -397,164 +419,28 @@ void CampaignEngine::parallel_for(
   impl_->batches.fetch_add(1, std::memory_order_relaxed);
   obs::trace_instant("batch_begin", "engine", 0.0, "tasks",
                      static_cast<double>(n));
-  if (n == 0) {
-    return;
-  }
-  // Inline path: sequential reference (jobs == 1), trivial batches, and
-  // nested fan-outs from inside a pool task.
-  if (jobs_ <= 1 || n == 1 || t_inside_pool_task) {
-    for (std::size_t i = 0; i < n; ++i) {
-      body(i);
-    }
-  } else {
-    {
-      std::lock_guard<std::mutex> lock(impl_->pool_mutex);
-      if (impl_->pool == nullptr) {
-        // The submitter participates, so spawn jobs - 1 workers.
-        impl_->pool = std::make_unique<Pool>(jobs_ - 1);
-      }
-    }
-    impl_->pool->run(n, body, impl_->queue_depth);
-  }
+  fan_out(n, body);
   obs::trace_instant("batch_end", "engine", 0.0, "tasks",
                      static_cast<double>(n));
 }
 
-std::vector<ExperimentResult> CampaignEngine::run_batch(
-    const std::vector<Experiment>& batch) {
-  if (options_.executor != nullptr) {
-    return run_batch_executor(batch);
+void CampaignEngine::fan_out(std::size_t n,
+                             const std::function<void(std::size_t)>& body) {
+  if (jobs_ > 1 && n > 1) {
+    std::call_once(impl_->pool_once, [&] {
+      // The submitter participates, so spawn jobs - 1 workers.
+      impl_->pool = std::make_unique<Pool>(jobs_ - 1, impl_->queue_depth);
+    });
+    if (impl_->pool->try_run(n, body)) {
+      return;
+    }
   }
-  std::vector<ExperimentResult> results(batch.size());
-  parallel_for(batch.size(),
-               [&](std::size_t i) { results[i] = run(batch[i]); });
-  return results;
-}
-
-std::vector<ExperimentResult> CampaignEngine::run_batch_executor(
-    const std::vector<Experiment>& batch) {
-  const std::size_t n = batch.size();
-  impl_->batches.fetch_add(1, std::memory_order_relaxed);
-  obs::trace_instant("batch_begin", "engine", 0.0, "tasks",
-                     static_cast<double>(n));
-  std::vector<ExperimentResult> results(n);
-  std::vector<std::exception_ptr> errors(n);
-  // Memoization happens here, on the supervisor side: only cache misses
-  // cross the process boundary, and freshly computed results come back
-  // through the same entry/result-store flow as the in-process path.
-  std::vector<std::shared_ptr<Impl::CacheEntry>> owned(n);
-  std::vector<std::shared_ptr<Impl::CacheEntry>> waiting(n);
-  std::vector<std::size_t> inline_indices;
-  std::vector<std::size_t> dispatch_indices;
-  std::vector<Experiment> dispatch;
+  // Inline path: the sequential reference (jobs == 1), trivial ranges, and
+  // ranges that find the pool held, by another caller or by the range this
+  // call is nested in: waiting for it could deadlock.
   for (std::size_t i = 0; i < n; ++i) {
-    const Experiment& e = batch[i];
-    if (writes_output_files(e)) {
-      // Process-global side effects: run locally, exclusively, afterwards.
-      inline_indices.push_back(i);
-      continue;
-    }
-    if (!options_.memoize) {
-      dispatch_indices.push_back(i);
-      dispatch.push_back(e);
-      continue;
-    }
-    const std::string key = experiment_cache_key(e, seed_);
-    std::shared_ptr<Impl::CacheEntry> entry;
-    bool owner = false;
-    {
-      std::lock_guard<std::mutex> lock(impl_->cache_mutex);
-      auto it = impl_->cache.find(key);
-      if (it == impl_->cache.end()) {
-        entry = std::make_shared<Impl::CacheEntry>();
-        impl_->cache.emplace(key, entry);
-        owner = true;
-      } else {
-        entry = it->second;
-      }
-    }
-    if (!owner) {
-      impl_->cache_hits.fetch_add(1, std::memory_order_relaxed);
-      impl_->cache_hit_count.increment();
-      waiting[i] = entry;
-      continue;
-    }
-    impl_->cache_misses.fetch_add(1, std::memory_order_relaxed);
-    impl_->cache_miss_count.increment();
-    ExperimentResult stored;
-    if (options_.result_store != nullptr &&
-        options_.result_store->load(key, stored)) {
-      impl_->store_hits.fetch_add(1, std::memory_order_relaxed);
-      obs::metrics().counter("engine.store_hits").increment();
-      {
-        std::lock_guard<std::mutex> lock(entry->mutex);
-        entry->result = stored;
-        entry->ready = true;
-      }
-      entry->cv.notify_all();
-      results[i] = std::move(stored);
-      continue;
-    }
-    owned[i] = entry;
-    dispatch_indices.push_back(i);
-    dispatch.push_back(e);
+    body(i);
   }
-  if (!dispatch.empty()) {
-    const std::vector<ExecOutcome> outcomes =
-        options_.executor->execute(dispatch);
-    HETERO_CHECK(outcomes.size() == dispatch.size());
-    for (std::size_t d = 0; d < dispatch.size(); ++d) {
-      const std::size_t i = dispatch_indices[d];
-      const ExecOutcome& out = outcomes[d];
-      impl_->jobs_run.fetch_add(1, std::memory_order_relaxed);
-      impl_->jobs_completed.increment();
-      if (out.failed) {
-        errors[i] = std::make_exception_ptr(Error(out.error));
-      } else {
-        results[i] = out.result;
-      }
-      if (owned[i] != nullptr) {
-        if (!out.failed && options_.result_store != nullptr) {
-          const std::string key = experiment_cache_key(batch[i], seed_);
-          options_.result_store->save(key, out.result);
-        }
-        {
-          std::lock_guard<std::mutex> lock(owned[i]->mutex);
-          owned[i]->result = out.result;
-          owned[i]->error = errors[i];
-          owned[i]->ready = true;
-        }
-        owned[i]->cv.notify_all();
-      }
-    }
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    if (waiting[i] == nullptr) {
-      continue;
-    }
-    std::unique_lock<std::mutex> lock(waiting[i]->mutex);
-    waiting[i]->cv.wait(lock, [&] { return waiting[i]->ready; });
-    if (waiting[i]->error != nullptr) {
-      errors[i] = waiting[i]->error;
-    } else {
-      results[i] = waiting[i]->result;
-    }
-  }
-  for (const std::size_t i : inline_indices) {
-    try {
-      results[i] = execute_uncached(batch[i]);
-    } catch (...) {
-      errors[i] = std::current_exception();
-    }
-  }
-  obs::trace_instant("batch_end", "engine", 0.0, "tasks",
-                     static_cast<double>(n));
-  for (std::size_t i = 0; i < n; ++i) {
-    if (errors[i] != nullptr) {
-      std::rethrow_exception(errors[i]);
-    }
-  }
-  return results;
 }
 
 CampaignEngineStats CampaignEngine::stats() const {

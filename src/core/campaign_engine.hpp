@@ -8,19 +8,28 @@
 /// and independent of the others. The CampaignEngine turns that independence
 /// into throughput without giving up reproducibility:
 ///
-///   * a work-stealing thread pool evaluates batches concurrently, with
-///     results reported in submission order — output is byte-identical to a
-///     sequential sweep regardless of completion order or job count;
+///   * a thread pool, whose workers claim indices from one shared counter,
+///     evaluates batches concurrently, with results reported in submission
+///     order — output is byte-identical to a sequential sweep regardless of
+///     completion order or job count;
 ///   * a memoization cache keyed on the full experiment descriptor plus the
 ///     runner seed computes repeated points once (the broker re-evaluating
 ///     objectives, fig4/fig6 sharing a sweep, ablations re-running their
-///     baselines);
-///   * a thread budget caps *in-flight simulated ranks*, not just jobs: a
-///     direct-mode experiment runs its ranks as fibers on min(ranks, CPUs)
-///     host threads, so it weighs `ranks` (an upper bound on its threads)
-///     against the budget while a modeled experiment weighs 1. Experiments
-///     with trace/metrics side effects run exclusively (the trace recorder
-///     installation is process-global).
+///     baselines). Every experiment, from run() or run_batch(), in-process
+///     or on an executor, goes through one claim -> compute -> settle ->
+///     wait flow; the backends differ only in who computes the owned misses;
+///   * a thread budget of max(jobs, hardware threads) caps *in-flight
+///     simulated ranks*, not just jobs: a direct-mode experiment runs its
+///     ranks as fibers on min(ranks, CPUs) host threads, so it weighs `ranks`
+///     (an upper bound on its threads) against the budget while a modeled
+///     experiment weighs 1. Experiments with trace/metrics side effects run
+///     exclusively (the trace recorder installation is process-global).
+///
+/// One condition keeps the flow deadlock-free: computing an experiment never
+/// calls back into the engine (ExperimentRunner::run does not). A caller
+/// therefore settles every key it owns before it waits on any other, and
+/// parallel_for never waits for another caller's batch: it runs its range
+/// inline instead.
 ///
 /// Instrumented with hetero::obs metrics (queue depth, cache hit/miss
 /// counters, per-job latency histogram) and host-time trace instants per
@@ -29,6 +38,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -80,15 +90,9 @@ struct CampaignEngineOptions {
   /// everything inline on the calling thread (the sequential reference
   /// path — no pool threads are ever created).
   int jobs = 0;
-  /// Cap on in-flight simulated threads (direct-mode experiments weigh
-  /// `ranks`, modeled ones weigh 1). 0 = max(jobs, hardware concurrency).
-  /// A single job heavier than the whole budget runs alone.
-  int thread_budget = 0;
-  /// Compute repeated experiment descriptors once and replay the result.
-  bool memoize = true;
   /// Persistent second level of the memoization cache; not owned, must
   /// outlive the engine. nullptr (the default) keeps memoization purely
-  /// in-memory. Ignored when memoize is false.
+  /// in-memory.
   ExperimentResultStore* result_store = nullptr;
   /// Multi-process execution backend; not owned, must outlive the engine.
   /// nullptr (the default) computes everything in-process on the thread
@@ -130,26 +134,33 @@ class CampaignEngine {
 
   /// Resolved pool width.
   int jobs() const { return jobs_; }
-  /// Resolved in-flight simulated-thread cap.
+  /// In-flight simulated-thread cap: max(jobs, hardware threads). A single
+  /// job heavier than the whole budget runs alone.
   int thread_budget() const { return budget_; }
   /// Seed of the underlying ExperimentRunner.
   std::uint64_t seed() const { return seed_; }
 
-  /// Runs (or replays) one experiment. Thread-safe; callable from inside
-  /// parallel_for bodies. Experiments with trace/metrics output paths
-  /// bypass the cache and run exclusively.
+  /// Runs (or replays) one experiment: the run_batch flow over one
+  /// experiment, not counted as a batch. Thread-safe; callable from inside
+  /// parallel_for bodies.
   ExperimentResult run(const Experiment& experiment);
 
   /// Evaluates a batch concurrently; results[i] always corresponds to
-  /// batch[i], independent of completion order. Duplicate descriptors
-  /// within the batch are computed once. The first failure (by submission
-  /// index) is rethrown after the batch drains.
+  /// batch[i], independent of completion order. Keys are claimed at
+  /// submission: the first submitter of a key, in this batch or in any
+  /// concurrent call, computes it and the others wait on its entry.
+  /// Experiments with trace/metrics output paths bypass the cache and run
+  /// in this process, exclusively. The first failure (by submission index)
+  /// is rethrown after the batch drains.
   std::vector<ExperimentResult> run_batch(const std::vector<Experiment>& batch);
 
   /// Generic deterministic fan-out: body(i) for i in [0, n), spread over
-  /// the pool (inline when jobs == 1). Used for non-Experiment work such as
-  /// campaign simulations and broker candidate prediction. Not reentrant:
-  /// a body that calls parallel_for again runs that inner loop inline.
+  /// the pool. Used for non-Experiment work such as campaign simulations
+  /// and broker candidate prediction. Runs inline on the calling thread
+  /// when jobs == 1, when n == 1, and while another range holds the pool
+  /// (another caller's, or the one a nested call runs inside) — it never
+  /// waits for another batch. The lowest-index failure is rethrown once
+  /// every index has run (inline: at the first failure).
   void parallel_for(std::size_t n,
                     const std::function<void(std::size_t)>& body);
 
@@ -159,8 +170,10 @@ class CampaignEngine {
  private:
   class Pool;
 
-  std::vector<ExperimentResult> run_batch_executor(
-      const std::vector<Experiment>& batch);
+  /// The one memo flow behind run() and run_batch().
+  std::vector<ExperimentResult> evaluate(std::span<const Experiment> batch);
+  /// parallel_for without the batch counter and trace instants.
+  void fan_out(std::size_t n, const std::function<void(std::size_t)>& body);
   ExperimentResult execute_uncached(const Experiment& experiment);
   int experiment_weight(const Experiment& experiment) const;
 

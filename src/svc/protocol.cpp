@@ -1,6 +1,7 @@
 #include "svc/protocol.hpp"
 
 #include <cmath>
+#include <limits>
 
 #include "broker/objectives.hpp"
 #include "platform/platform_spec.hpp"
@@ -19,12 +20,20 @@ void append_opt(std::string& key, const std::optional<double>& v) {
   }
 }
 
-std::int64_t require_int(const obs::Json& v, const std::string& name) {
+/// An integral number that fits T, checked before the cast: casting a
+/// double outside T is undefined, and in practice it wraps or saturates.
+template <class T>
+T require_int(const obs::Json& v, const std::string& name) {
   HETERO_REQUIRE(v.is_number(), "svc request: '" + name + "' must be a number");
   const double d = v.as_number();
   HETERO_REQUIRE(d == std::floor(d), "svc request: '" + name +
                                          "' must be an integer");
-  return static_cast<std::int64_t>(d);
+  // T's range is [-2^k, 2^k), and both bounds are exact doubles. The
+  // infinities fail here; NaN already failed the integer check.
+  constexpr double kMin = static_cast<double>(std::numeric_limits<T>::min());
+  HETERO_REQUIRE(d >= kMin && d < -kMin,
+                 "svc request: '" + name + "' is out of range");
+  return static_cast<T>(d);
 }
 
 double require_number(const obs::Json& v, const std::string& name) {
@@ -105,7 +114,7 @@ SvcRequest parse_request(const obs::Json& record) {
         HETERO_REQUIRE(false, "svc request: unknown type '" + type + "'");
       }
     } else if (key == "id") {
-      req.id = require_int(value, key);
+      req.id = require_int<std::int64_t>(value, key);
       HETERO_REQUIRE(req.id >= 0, "svc request: id must be >= 0");
       saw_id = true;
     } else if (key == "client") {
@@ -115,13 +124,13 @@ SvcRequest parse_request(const obs::Json& record) {
     } else if (key == "app") {
       req.job.app = perf::app_by_name(require_string(value, key));
     } else if (key == "elements") {
-      req.job.total_elements = require_int(value, key);
+      req.job.total_elements = require_int<std::int64_t>(value, key);
     } else if (key == "ranks") {
-      req.job.ranks = static_cast<int>(require_int(value, key));
+      req.job.ranks = require_int<int>(value, key);
     } else if (key == "cells") {
-      req.job.cells_per_rank_axis = static_cast<int>(require_int(value, key));
+      req.job.cells_per_rank_axis = require_int<int>(value, key);
     } else if (key == "iterations") {
-      req.job.iterations = static_cast<int>(require_int(value, key));
+      req.job.iterations = require_int<int>(value, key);
     } else if (key == "deadline_h") {
       req.job.deadline_h = require_number(value, key);
     } else if (key == "budget_usd") {
@@ -137,22 +146,22 @@ SvcRequest parse_request(const obs::Json& record) {
     } else if (key == "frontier") {
       req.want_frontier = require_bool(value, key);
     } else if (key == "top") {
-      req.top = static_cast<int>(require_int(value, key));
+      req.top = require_int<int>(value, key);
       HETERO_REQUIRE(req.top >= 0, "svc request: top must be >= 0");
     } else if (key == "platform") {
       req.rb.platform = require_string(value, key);
     } else if (key == "fallback") {
       req.rb.fallback = require_string(value, key);
     } else if (key == "steps") {
-      req.rb.steps = static_cast<int>(require_int(value, key));
+      req.rb.steps = require_int<int>(value, key);
     } else if (key == "done") {
-      req.rb.done = static_cast<int>(require_int(value, key));
+      req.rb.done = require_int<int>(value, key);
     } else if (key == "observed_s") {
       req.rb.observed_s = require_number(value, key);
       HETERO_REQUIRE(req.rb.observed_s >= 0.0,
                      "svc request: observed_s must be >= 0");
     } else if (key == "storms") {
-      req.rb.storms = static_cast<int>(require_int(value, key));
+      req.rb.storms = require_int<int>(value, key);
       HETERO_REQUIRE(req.rb.storms >= 0,
                      "svc request: storms must be >= 0");
     } else if (key == "hysteresis") {
@@ -168,7 +177,7 @@ SvcRequest parse_request(const obs::Json& record) {
       HETERO_REQUIRE(req.rb.migrate_budget_usd >= 0.0,
                      "svc request: migrate_budget_usd must be >= 0");
     } else if (key == "target_ranks") {
-      req.rb.target_ranks = static_cast<int>(require_int(value, key));
+      req.rb.target_ranks = require_int<int>(value, key);
       HETERO_REQUIRE(req.rb.target_ranks >= 0,
                      "svc request: target_ranks must be >= 0");
     } else {

@@ -1,12 +1,22 @@
 // CampaignEngine: parallel campaign evaluation must be indistinguishable
 // from the sequential sweep (determinism, submission-order results),
-// memoization must account its hits, the thread budget must bound in-flight
-// simulated threads, and failures must propagate with the lowest index.
+// memoization must account its hits the same way on the pool and on an
+// executor, the thread budget must bound in-flight simulated threads,
+// failures must propagate with the lowest index, and no caller may wait
+// for another caller's batch.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
+#include <cstdio>
+#include <future>
+#include <latch>
+#include <map>
+#include <mutex>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "codec_fixtures.hpp"
@@ -15,6 +25,7 @@
 #include "core/report.hpp"
 #include "support/error.hpp"
 #include "support/table.hpp"
+#include "svc/result_codec.hpp"
 
 namespace hetero::core {
 namespace {
@@ -246,32 +257,20 @@ TEST(CampaignEngine, FaultyDirectBatchIsIdenticalAtAnyJobsLevel) {
   EXPECT_GT(faults, 0);
 }
 
-TEST(CampaignEngine, MemoizationCanBeDisabled) {
-  CampaignEngine engine(42, {.jobs = 1, .memoize = false});
-  Experiment e;
-  e.platform = "puma";
-  e.ranks = 8;
-  const auto a = engine.run(e);
-  const auto b = engine.run(e);
-  const auto stats = engine.stats();
-  EXPECT_EQ(stats.jobs_run, 2u);
-  EXPECT_EQ(stats.cache_hits, 0u);
-  EXPECT_DOUBLE_EQ(a.iteration.total_s, b.iteration.total_s);
-}
-
 TEST(CampaignEngine, DirectModeThreadBudgetBoundsInflightThreads) {
-  // Four direct 8-rank jobs on 4 workers with a budget of 8 simulated
-  // threads: never more than one such job (weight 8) in flight.
-  CampaignEngine engine(42, {.jobs = 4, .thread_budget = 8,
-                             .memoize = false});
+  // Four distinct direct 8-rank jobs on 4 workers under the default budget,
+  // max(jobs, hardware threads): each job weighs 8, and the in-flight
+  // weight never passes the budget (a job heavier than it runs alone).
+  CampaignEngine engine(42, {.jobs = 4});
   std::vector<Experiment> batch;
-  for (int i = 0; i < 4; ++i) {
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
     Experiment e;
     e.platform = "puma";
     e.ranks = 8;
     e.cells_per_rank_axis = 3;
     e.mode = Mode::kDirect;
     e.direct_steps = 2;
+    e.seed = seed;
     batch.push_back(e);
   }
   const auto results = engine.run_batch(batch);
@@ -281,22 +280,8 @@ TEST(CampaignEngine, DirectModeThreadBudgetBoundsInflightThreads) {
   }
   const auto stats = engine.stats();
   EXPECT_EQ(stats.jobs_run, 4u);
-  EXPECT_LE(stats.peak_inflight_threads, 8);
-  EXPECT_GE(stats.peak_inflight_threads, 8);  // each job alone weighs 8
-}
-
-TEST(CampaignEngine, ModeledJobsRespectNarrowBudget) {
-  CampaignEngine engine(42, {.jobs = 4, .thread_budget = 2,
-                             .memoize = false});
-  std::vector<Experiment> batch;
-  for (int ranks : {1, 8, 27, 64, 125, 216}) {
-    Experiment e;
-    e.platform = "ellipse";
-    e.ranks = ranks;
-    batch.push_back(e);
-  }
-  engine.run_batch(batch);
-  EXPECT_LE(engine.stats().peak_inflight_threads, 2);
+  EXPECT_GE(stats.peak_inflight_threads, 8);
+  EXPECT_LE(stats.peak_inflight_threads, std::max(8, engine.thread_budget()));
 }
 
 TEST(CampaignEngine, MixedModeledAndDirectBatchIsDeterministic) {
@@ -366,6 +351,155 @@ TEST(CampaignEngine, NestedParallelForRunsInline) {
   for (int s : inner_sum) {
     EXPECT_EQ(s, 10);
   }
+}
+
+/// In-memory ExperimentResultStore.
+class MapStore final : public ExperimentResultStore {
+ public:
+  bool load(const std::string& key, ExperimentResult& out) override {
+    std::lock_guard<std::mutex> lock(mutex_);
+    const auto it = results_.find(key);
+    if (it == results_.end()) {
+      return false;
+    }
+    out = it->second;
+    return true;
+  }
+  void save(const std::string& key, const ExperimentResult& result) override {
+    std::lock_guard<std::mutex> lock(mutex_);
+    results_.emplace(key, result);
+  }
+
+ private:
+  std::mutex mutex_;
+  std::map<std::string, ExperimentResult> results_;
+};
+
+/// Runs every experiment in this process and records the cache key of
+/// each one it is handed.
+class RecordingExecutor final : public BatchExecutor {
+ public:
+  std::vector<ExecOutcome> execute(const std::vector<Experiment>& batch) override {
+    std::vector<ExecOutcome> out(batch.size());
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      seen.push_back(experiment_cache_key(batch[i], 42));
+      try {
+        out[i].result = runner_.run(batch[i]);
+      } catch (const std::exception& e) {
+        out[i].failed = true;
+        out[i].error = e.what();
+      }
+    }
+    return out;
+  }
+
+  std::vector<std::string> seen;
+
+ private:
+  ExperimentRunner runner_{42};
+};
+
+TEST(CampaignEngine, ExecutorAndPoolShareOneMemoFlow) {
+  Experiment repeated;
+  repeated.platform = "puma";
+  repeated.ranks = 27;
+  Experiment stored;
+  stored.platform = "ellipse";
+  stored.ranks = 64;
+  Experiment metrics = repeated;
+  metrics.metrics_path = "/tmp/campaign_engine_flow_metrics.json";
+  Experiment b;
+  b.platform = "lagrange";
+  b.ranks = 8;
+  Experiment c;
+  c.platform = "ec2";
+  c.ranks = 125;
+  const std::vector<Experiment> batch = {repeated, stored,   repeated, metrics,
+                                         b,        repeated, c};
+  Experiment ok;
+  ok.platform = "puma";
+  ok.ranks = 8;
+  Experiment bad = ok;  // direct mode requires cubic ranks: 6 throws
+  bad.ranks = 6;
+  bad.mode = Mode::kDirect;
+
+  struct Run {
+    std::vector<std::string> bytes;
+    CampaignEngineStats stats;
+    std::string error;
+  };
+  const auto evaluate = [&](BatchExecutor* executor) {
+    MapStore store;
+    store.save(experiment_cache_key(stored, 42),
+               ExperimentRunner(42).run(stored));
+    CampaignEngine engine(
+        42, {.jobs = 4, .result_store = &store, .executor = executor});
+    Run run;
+    for (const auto& r : engine.run_batch(batch)) {
+      run.bytes.push_back(svc::encode_result(r));
+    }
+    run.stats = engine.stats();
+    try {
+      engine.run_batch({ok, bad, ok});
+    } catch (const Error& e) {
+      run.error = e.what();
+    }
+    EXPECT_TRUE(engine.run(ok).launched);  // still serving
+    return run;
+  };
+
+  const Run pool = evaluate(nullptr);
+  RecordingExecutor executor;
+  const Run remote = evaluate(&executor);
+  std::remove(metrics.metrics_path.c_str());
+
+  EXPECT_EQ(pool.bytes, remote.bytes);
+  for (const Run* run : {&pool, &remote}) {
+    EXPECT_EQ(run->stats.cache_hits, 2u);
+    EXPECT_EQ(run->stats.cache_misses, 4u);
+    EXPECT_EQ(run->stats.store_hits, 1u);
+    EXPECT_EQ(run->stats.jobs_run, 4u);  // 3 owned misses + the metrics run
+  }
+  EXPECT_NE(pool.error.find("cubic rank count"), std::string::npos)
+      << pool.error;
+  EXPECT_EQ(pool.error, remote.error);
+  // Each distinct, unstored, non-output experiment once, then the failing
+  // batch's two distinct experiments; never the metrics run.
+  EXPECT_EQ(executor.seen,
+            (std::vector<std::string>{
+                experiment_cache_key(repeated, 42), experiment_cache_key(b, 42),
+                experiment_cache_key(c, 42), experiment_cache_key(ok, 42),
+                experiment_cache_key(bad, 42)}));
+}
+
+TEST(CampaignEngine, ParallelForNeverWaitsForAnotherCallersBatch) {
+  CampaignEngine engine(42, {.jobs = 4});
+  std::latch entered(1);
+  std::latch release(1);
+  std::thread holder([&] {
+    engine.parallel_for(2, [&](std::size_t i) {
+      if (i == 0) {
+        entered.count_down();
+        release.wait();
+      }
+    });
+  });
+  entered.wait();  // the holder's range now holds the pool
+
+  std::vector<int> touched(4, 0);
+  std::promise<void> done;
+  std::future<void> finished = done.get_future();
+  std::thread second([&] {
+    engine.parallel_for(4, [&](std::size_t i) { touched[i] += 1; });
+    done.set_value();
+  });
+  const bool in_time = finished.wait_for(std::chrono::seconds(10)) ==
+                       std::future_status::ready;
+  release.count_down();  // never leave the holder (or a waiter) hanging
+  holder.join();
+  second.join();
+  EXPECT_TRUE(in_time) << "parallel_for waited for another caller's batch";
+  EXPECT_EQ(touched, std::vector<int>(4, 1));
 }
 
 }  // namespace

@@ -171,6 +171,11 @@ endfunction()
 expect_cmd(fail "unknown app 'navier' .expected rd.ns."
   broker --app navier --elements 1000000 --deadline-h 24 --budget-usd 50)
 
+# --store memoizes a request file's answers; on a single job it would be a
+# silent no-op that writes no store.
+expect_cmd(fail "--store memoizes the answers of a request file: pass --requests"
+  broker --app rd --elements 1000000 --store broker-store-without-requests.log)
+
 # A preset is a fixed cell set; a custom sample is another. Never both.
 expect_cmd(fail
   "--matrix picks a preset cell set. it conflicts with --cells N .pick one."

@@ -18,6 +18,7 @@
 
 #include "codec_fixtures.hpp"
 #include "core/campaign_engine.hpp"
+#include "obs/json.hpp"
 #include "prop_util.hpp"
 #include "support/error.hpp"
 #include "svc/memo_store.hpp"
@@ -99,6 +100,73 @@ TEST(SvcProtocol, StrictParseRejections) {
   EXPECT_THROW(svc::parse_request_line(R"({"id":1,"type":"query"})"), Error);
   EXPECT_THROW(svc::parse_request_line("not json"), Error);
   EXPECT_THROW(svc::parse_request_line(R"({"id":1.5})"), Error);
+  // Integers outside their field's type are rejected, never wrapped,
+  // saturated or read as absent.
+  for (const char* line : {
+           R"({"id":2,"app":"rd","ranks":4294967304})",  // 2^32 + 8
+           R"({"id":2,"iterations":4294967396})",        // 2^32 + 100
+           R"({"id":2,"top":2147483648})",               // INT_MAX + 1
+           R"({"id":2,"elements":1e300})",
+           R"({"id":2,"ranks":1e300})",
+           R"({"id":1e300})",
+       }) {
+    SCOPED_TRACE(line);
+    try {
+      svc::parse_request_line(line);
+      ADD_FAILURE() << "accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("' is out of range"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+// 20,000 seeded mutants of two request lines, one with every job key and
+// one with every rebroker key: each either parses or raises hetero::Error,
+// and whatever parses as JSON re-dumps to a fixed point.
+TEST(SvcProtocol, RequestLinesSurviveSeededMutants) {
+  const std::string lines[] = {
+      R"({"schema":"heterolab-svc-v1","type":"request","id":7,)"
+      R"("client":"alice","app":"ns","elements":500000,"ranks":8,)"
+      R"("cells":20,"iterations":20,"deadline_h":12,"budget_usd":9.5,)"
+      R"("risk":0.25,"risk_budget_usd":3,"ported":true,)"
+      R"("objective":"cost","frontier":false,"top":4})",
+      R"({"schema":"heterolab-svc-v1","type":"rebroker","id":9,)"
+      R"("client":"bob","app":"rd","ranks":64,"cells":20,)"
+      R"("platform":"ec2","fallback":"puma","steps":100,"done":40,)"
+      R"("observed_s":0.3,"storms":2,"hysteresis":0.2,"deadline_s":3600,)"
+      R"("migrate_budget_usd":1.25,"target_ranks":27})",
+  };
+  for (std::size_t f = 0; f < 2; ++f) {
+    SCOPED_TRACE("fixture " + std::to_string(f));
+    ASSERT_NO_THROW(svc::parse_request_line(lines[f]));
+    test::PropRng rng(0x5eed5c0 + f);
+    int parsed = 0;
+    int rejected = 0;
+    int foreign = 0;
+    int unstable = 0;
+    for (int i = 0; i < 10000; ++i) {
+      const std::string mutant = test::mutate(rng, lines[f]);
+      try {
+        const obs::Json json = obs::Json::parse(mutant);
+        const std::string dumped = json.dump();
+        if (obs::Json::parse(dumped).dump() != dumped) {
+          ++unstable;
+        }
+        svc::parse_request(json);
+        ++parsed;
+      } catch (const Error&) {
+        ++rejected;
+      } catch (const std::exception&) {
+        ++foreign;
+      }
+    }
+    EXPECT_EQ(foreign, 0);
+    EXPECT_EQ(unstable, 0);
+    EXPECT_GT(parsed, 0);
+    EXPECT_GT(rejected, 0);
+  }
 }
 
 TEST(SvcProtocol, CacheKeySeparatesEveryAnswerField) {

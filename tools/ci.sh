@@ -6,7 +6,8 @@
 #   release  Release + -Werror: full ctest, broker smoke, the four
 #            paper-figure benches against bench/baselines/ and fig4
 #            --jobs 8 == --jobs 1, bench_kernels against kernels.json,
-#            bench_svc_throughput against svc.json
+#            bench_svc_throughput against svc.json, and a 5 s perfbench
+#            smoke of each workload (correctness gates only)
 #   debug    Debug + -Werror: full ctest
 #   asan     RelWithDebInfo + ASan/UBSan: full ctest, then the fault,
 #            svc, rebroker, loadbalance, proc and grid gates on that build
@@ -103,6 +104,18 @@ gate_kernels() {
 # Warm-restart throughput of the advisory daemon; timing needs Release.
 gate_svc_throughput() {
   bench_vs_baseline svc_throughput svc
+}
+
+# perfbench builds its own tree under $BUILD/perfbench and runs each
+# workload for 5 s. Its exit status carries the workloads' correctness
+# gates: rd convergence and nodal error, the grid report digest and counts,
+# and the svc pinned answers and failing-id set. No timing is checked.
+gate_perfbench() {
+  for workload in rd_p27 grid_full svc_restart; do
+    CARGO_TARGET_DIR="$BUILD" python3 perfbench/run.py \
+        --workload "$workload" --seed 1 --seconds 5 \
+        > "$OUT/perfbench.$workload.txt"
+  done
 }
 
 # Fault injection and recovery against its baseline; fault schedules are
@@ -207,6 +220,7 @@ leg_release() {
   gate_paper_benches
   gate_kernels
   gate_svc_throughput
+  gate_perfbench
 }
 
 leg_debug() {

@@ -523,6 +523,9 @@ int cmd_broker(const CliArgs& args) {
   if (args.has("requests")) {
     return cmd_broker_batch(args);
   }
+  HETERO_REQUIRE(!args.has("store"),
+                 "--store memoizes the answers of a request file: pass "
+                 "--requests FILE.jsonl as well");
   broker::JobRequest request;
   request.app = perf::app_by_name(args.get_string("app", "rd"));
   request.total_elements = args.get_int("elements", 0);
@@ -659,7 +662,7 @@ int cmd_grid(const CliArgs& args) {
 int usage() {
   std::cout <<
       "usage: heterolab <command> [flags]\n"
-      "  platforms                         Table I capability matrix\n"
+      "  platforms [--csv]                 Table I capability matrix\n"
       "  run --app rd|ns --platform P --ranks N [--mode direct|modeled]\n"
       "      [--cells C] [--spot] [--seed S] [--jobs J] [--json OUT.jsonl]\n"
       "      [--trace OUT.trace.json] [--metrics OUT.metrics.json]\n"
@@ -673,13 +676,14 @@ int usage() {
       "      [--balance] [--balance-mode repartition|diffuse]\n"
       "      [--balance-threshold X] [--steps N]\n"
       "      [--workers W] [--store PATH] [--proc-dir DIR]\n"
-      "  fig4 | fig5 | table2 | fig6 | fig7 [--csv] [--jobs J]\n"
+      "  fig4 | fig5 | table2 | fig6 | fig7 [--csv] [--seed S] [--jobs J]\n"
       "      [--json OUT.jsonl] [--workers W] [--store PATH]\n"
       "      [--proc-dir DIR]\n"
-      "  summary [--ranks N] [--jobs J] [--workers W] [--store PATH]\n"
+      "  summary [--ranks N] [--csv] [--seed S] [--jobs J]\n"
+      "      [--json OUT.jsonl] [--workers W] [--store PATH]\n"
       "      [--proc-dir DIR]\n"
       "  campaign --ranks N --iterations K [--ondemand] [--ckpt I]\n"
-      "      [--bid USD] [--cells C] [--storm-rate RATE]\n"
+      "      [--bid USD] [--cells C] [--storm-rate RATE] [--seed S]\n"
       "  grid [--matrix full|ci|smoke | --cells N [--sample-seed S]]\n"
       "      [--out REPORT.jsonl] [--seed S] [--iterations K]\n"
       "      [--shard-size C] [--jobs J] [--workers W] [--store PATH]\n"
@@ -693,7 +697,7 @@ int usage() {
       "      [--iterations K] [--deadline-h H] [--budget-usd D]\n"
       "      [--objective time|cost|effective|blend] [--risk R]\n"
       "      [--risk-budget-usd D] [--ported] [--top N] [--seed S]\n"
-      "      [--jobs J]\n"
+      "      [--jobs J] [--csv]\n"
       "  broker --requests FILE.jsonl [--store PATH] [--seed S] [--jobs J]\n"
       "      answer a heterolab-svc-v1 request file in batch\n"
       "  serve [--store PATH] [--socket PATH] [--queue N]\n"
