@@ -1,24 +1,30 @@
 // Host microbenchmarks of the direct-mode hot-path kernels: CSR SpMV,
 // fused DistVector updates, fused element assembly, and the full RD
-// per-iteration step. Every case runs the *same binary* twice — once with
-// the reference kernels (the executable specification) and once with the
+// per-iteration step. Every case runs the *same binary* in both kernel
+// modes — the reference kernels (the executable specification) and the
 // fast kernels — so the reported speedup is a like-for-like host-time
 // ratio; the numerics are bit-identical either way (see docs/kernels.md).
 //
 // Unlike the virtual-clock phase timings of the figure benches, everything
-// here is host wall time: the platform models charge mode-independent
-// compute costs, so only a host-side measurement can see the overhaul.
+// here is host time: the platform models charge mode-independent compute
+// costs, so only a host-side measurement can see the overhaul. The process
+// pins itself to the CPU it starts on and reads the process CPU clock, and
+// every repetition times one reference and one fast run back to back, in
+// alternating order; a speedup is the median of those paired ratios, so a
+// host slowdown cancels within its pair instead of landing on one side.
 // FLOP/byte columns come from the obs kernel counters (la.kernel.*,
 // fem.kernel.assembly.*).
 //
 // `--json out.jsonl` emits heterolab-bench-v1 records gated in CI against
-// bench/baselines/kernels.json (the rd_direct speedup floor).
+// bench/baselines/kernels.json (the speedup floors).
+
+#include <sched.h>
+#include <time.h>
 
 #include <algorithm>
-#include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <iostream>
-#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -41,22 +47,77 @@ namespace {
 
 using namespace hetero;
 
-double wall_s() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
+/// CPU time of the whole process (every thread). Pinned to one CPU, this
+/// is the time the kernels ran, minus what other guests stole.
+double cpu_s() {
+  timespec ts{};
+  ::clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) + static_cast<double>(ts.tv_nsec) * 1e-9;
 }
 
-/// Best (minimum) wall time of `reps` invocations of `body`.
-template <class F>
-double best_of(int reps, F&& body) {
-  double best = std::numeric_limits<double>::infinity();
-  for (int r = 0; r < reps; ++r) {
-    const double t0 = wall_s();
-    body();
-    best = std::min(best, wall_s() - t0);
+/// Pins the process to the CPU it is running on; threads started later
+/// (simmpi's rank-fiber hosts) inherit the mask.
+void pin_to_current_cpu() {
+#ifdef __linux__
+  const int cpu = ::sched_getcpu();
+  if (cpu >= 0) {
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    CPU_SET(cpu, &set);
+    ::sched_setaffinity(0, sizeof(set), &set);
   }
-  return best;
+#endif
+}
+
+double median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const std::size_t n = v.size();
+  return n % 2 == 1 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
+}
+
+/// Medians of `reps` paired reference/fast timings of `body`, and the
+/// median of the per-pair ref/fast ratios.
+struct Paired {
+  double ref_s = 0.0;
+  double fast_s = 0.0;
+  double speedup = 0.0;
+};
+
+/// Warms `body` once per kernel mode, then runs `reps` pairs, each one
+/// reference and one fast run back to back (reference first in even pairs,
+/// fast first in odd ones). `body` returns the seconds it measured.
+template <class F>
+Paired paired_modes(int reps, F&& body) {
+  const la::KernelMode modes[2] = {la::KernelMode::kReference,
+                                   la::KernelMode::kFast};
+  for (const la::KernelMode mode : modes) {
+    la::set_kernel_mode(mode);
+    body();
+  }
+  std::vector<double> ref, fast, ratio;
+  for (int r = 0; r < reps; ++r) {
+    double t[2] = {0.0, 0.0};
+    for (int k = 0; k < 2; ++k) {
+      const int side = r % 2 == 0 ? k : 1 - k;
+      la::set_kernel_mode(modes[side]);
+      t[side] = body();
+    }
+    ref.push_back(t[0]);
+    fast.push_back(t[1]);
+    ratio.push_back(t[0] / t[1]);
+  }
+  return {median(ref), median(fast), median(ratio)};
+}
+
+/// paired_modes over a body that measures nothing itself: each run is
+/// timed on the process CPU clock.
+template <class F>
+Paired paired_cpu(int reps, F&& body) {
+  return paired_modes(reps, [&] {
+    const double t0 = cpu_s();
+    body();
+    return cpu_s() - t0;
+  });
 }
 
 std::string fmt(double v) {
@@ -96,9 +157,9 @@ la::CsrMatrix make_fem_matrix(int cells, int order) {
 }
 
 void bench_spmv(bench::BenchOutput& out, const CliArgs& args) {
-  const int cells = static_cast<int>(args.get_int("spmv_cells", 10));
-  const int iters = static_cast<int>(args.get_int("spmv_iters", 40));
-  const int reps = static_cast<int>(args.get_int("reps", 5));
+  const int cells = args.get_int32("spmv_cells", 10);
+  const int iters = args.get_int32("spmv_iters", 40);
+  const int reps = args.get_int32("reps", 5);
   const auto a = make_fem_matrix(cells, 2);
   const auto rows = static_cast<std::size_t>(a.rows());
   std::vector<double> x(rows), y(rows);
@@ -106,24 +167,20 @@ void bench_spmv(bench::BenchOutput& out, const CliArgs& args) {
     x[i] = 1.0 + 1e-3 * static_cast<double>(i % 17);
   }
 
-  auto run = [&](la::KernelMode mode) {
-    la::set_kernel_mode(mode);
-    a.multiply(x, y);  // warm
-    return best_of(reps, [&] {
-             for (int i = 0; i < iters; ++i) {
-               a.multiply(x, y);
-             }
-           }) /
-           iters;
-  };
-  const double ref_s = run(la::KernelMode::kReference);
+  const Paired t = paired_cpu(reps, [&] {
+    for (int i = 0; i < iters; ++i) {
+      a.multiply(x, y);
+    }
+  });
+  // One multiply's worth of modeled work (the counters are per call).
+  la::set_kernel_mode(la::KernelMode::kFast);
   const double f0 = la::spmv_work().flops();
   const double b0 = la::spmv_work().bytes();
-  const double fast_s = run(la::KernelMode::kFast);
-  // One multiply's worth of modeled work (counters are per-call).
-  const double calls = static_cast<double>((reps + 1) * iters + 1);
-  const double flops = (la::spmv_work().flops() - f0) / calls;
-  const double bytes = (la::spmv_work().bytes() - b0) / calls;
+  a.multiply(x, y);
+  const double flops = la::spmv_work().flops() - f0;
+  const double bytes = la::spmv_work().bytes() - b0;
+  const double ref_s = t.ref_s / iters;
+  const double fast_s = t.fast_s / iters;
 
   // CSR is the only layout; the column stays because
   // bench/baselines/kernels.json matches its rows on it.
@@ -131,7 +188,7 @@ void bench_spmv(bench::BenchOutput& out, const CliArgs& args) {
                "flops", "bytes", "intensity"});
   table.add_row({"csr", fmt_int(a.rows()),
                  fmt_int(static_cast<std::int64_t>(a.nonzeros())), fmt(ref_s),
-                 fmt(fast_s), fmt(ref_s / fast_s), fmt(flops), fmt(bytes),
+                 fmt(fast_s), fmt(t.speedup), fmt(flops), fmt(bytes),
                  fmt(flops / bytes)});
   std::cout << "## SpMV (P2 mass+stiffness, " << cells << "^3 cells)\n";
   out.emit(table, "spmv");
@@ -139,9 +196,9 @@ void bench_spmv(bench::BenchOutput& out, const CliArgs& args) {
 }
 
 void bench_vec(bench::BenchOutput& out, const CliArgs& args) {
-  const int n = static_cast<int>(args.get_int("vec_n", 1 << 18));
-  const int iters = static_cast<int>(args.get_int("vec_iters", 40));
-  const int reps = static_cast<int>(args.get_int("reps", 5));
+  const int n = args.get_int32("vec_n", 1 << 18);
+  const int iters = args.get_int32("vec_iters", 40);
+  const int reps = args.get_int32("reps", 5);
 
   Table table({"op", "n", "ref[s]", "fast[s]", "speedup"});
   auto runtime = std::make_shared<simmpi::Runtime>(netsim::Topology::uniform(
@@ -167,20 +224,13 @@ void bench_vec(bench::BenchOutput& out, const CliArgs& args) {
     }
 
     auto row = [&](const char* op, auto&& body) {
-      auto run = [&](la::KernelMode mode) {
-        la::set_kernel_mode(mode);
-        body();  // warm
-        return best_of(reps, [&] {
-                 for (int i = 0; i < iters; ++i) {
-                   body();
-                 }
-               }) /
-               iters;
-      };
-      const double ref_s = run(la::KernelMode::kReference);
-      const double fast_s = run(la::KernelMode::kFast);
-      table.add_row({op, fmt_int(n), fmt(ref_s), fmt(fast_s),
-                     fmt(ref_s / fast_s)});
+      const Paired t = paired_cpu(reps, [&] {
+        for (int i = 0; i < iters; ++i) {
+          body();
+        }
+      });
+      table.add_row({op, fmt_int(n), fmt(t.ref_s / iters),
+                     fmt(t.fast_s / iters), fmt(t.speedup)});
     };
 
     double sink = 0.0;
@@ -205,8 +255,8 @@ void bench_vec(bench::BenchOutput& out, const CliArgs& args) {
 }
 
 void bench_assembly(bench::BenchOutput& out, const CliArgs& args) {
-  const int cells = static_cast<int>(args.get_int("assembly_cells", 6));
-  const int reps = static_cast<int>(args.get_int("reps", 5));
+  const int cells = args.get_int32("assembly_cells", 6);
+  const int reps = args.get_int32("reps", 5);
   auto& flops_c = obs::metrics().counter("fem.kernel.assembly.flops");
   auto& bytes_c = obs::metrics().counter("fem.kernel.assembly.bytes");
 
@@ -227,21 +277,16 @@ void bench_assembly(bench::BenchOutput& out, const CliArgs& args) {
         kernel.mass_stiffness_load(t, source, me, ke, fe);
       }
     };
-    auto run = [&](la::KernelMode mode) {
-      la::set_kernel_mode(mode);
-      sweep();  // warm (builds the geometry cache in fast mode)
-      return best_of(reps, sweep);
-    };
-    const double ref_s = run(la::KernelMode::kReference);
+    // The fast mode's warm-up sweep builds its geometry cache.
+    const Paired t = paired_cpu(reps, sweep);
+    la::set_kernel_mode(la::KernelMode::kFast);
     const double f0 = flops_c.value();
     const double b0 = bytes_c.value();
-    const double fast_s = run(la::KernelMode::kFast);
-    const double sweeps = static_cast<double>(reps + 1);
+    sweep();
     table.add_row({fmt_int(order),
                    fmt_int(static_cast<std::int64_t>(mesh.tet_count())),
-                   fmt(ref_s), fmt(fast_s), fmt(ref_s / fast_s),
-                   fmt((flops_c.value() - f0) / sweeps),
-                   fmt((bytes_c.value() - b0) / sweeps)});
+                   fmt(t.ref_s), fmt(t.fast_s), fmt(t.speedup),
+                   fmt(flops_c.value() - f0), fmt(bytes_c.value() - b0)});
   }
   std::cout << "## Element assembly (fused mass+stiffness+load sweep, "
             << cells << "^3 cells)\n";
@@ -251,8 +296,8 @@ void bench_assembly(bench::BenchOutput& out, const CliArgs& args) {
 
 /// Full direct-mode RD per-iteration host time: assembly + Dirichlet +
 /// ILU0 + CG, the paper's workhorse, at p ranks with `axis` cells per rank
-/// axis: host wall time of one step, the simulated ranks running as fibers
-/// on min(p, CPUs) host threads.
+/// axis: process CPU time of one step, the simulated ranks running as
+/// fibers on the one host thread the pinned process has.
 double rd_step_host_s(int ranks, int axis, int steps) {
   const int per_axis = static_cast<int>(std::lround(std::cbrt(ranks)));
   apps::RdConfig config;
@@ -266,37 +311,29 @@ double rd_step_host_s(int ranks, int axis, int steps) {
   runtime->run([&](simmpi::Comm& comm) {
     apps::RdSolver solver(comm, config);
     comm.barrier();
-    const double t0 = wall_s();
+    const double t0 = cpu_s();
     solver.run(steps);
     comm.barrier();
     if (comm.rank() == 0) {
-      elapsed = wall_s() - t0;
+      elapsed = cpu_s() - t0;
     }
   });
   return elapsed / steps;
 }
 
 void bench_rd_direct(bench::BenchOutput& out, const CliArgs& args) {
-  const int ranks = static_cast<int>(args.get_int("ranks", 27));
-  const int axis = static_cast<int>(args.get_int("axis", 6));
-  const int steps = static_cast<int>(args.get_int("steps", 6));
-  const int reps = static_cast<int>(args.get_int("rd_reps", 2));
+  const int ranks = args.get_int32("ranks", 27);
+  const int axis = args.get_int32("axis", 6);
+  const int steps = args.get_int32("steps", 6);
+  const int reps = args.get_int32("rd_reps", 3);
 
   Table table({"ranks", "cells", "steps", "ref[s]", "fast[s]", "speedup"});
   for (const int p : {1, ranks}) {
-    auto run = [&](la::KernelMode mode) {
-      la::set_kernel_mode(mode);
-      double best = std::numeric_limits<double>::infinity();
-      for (int r = 0; r < reps; ++r) {
-        best = std::min(best, rd_step_host_s(p, axis, steps));
-      }
-      return best;
-    };
-    const double ref_s = run(la::KernelMode::kReference);
-    const double fast_s = run(la::KernelMode::kFast);
+    const Paired t =
+        paired_modes(reps, [&] { return rd_step_host_s(p, axis, steps); });
     const int per_axis = static_cast<int>(std::lround(std::cbrt(p)));
     table.add_row({fmt_int(p), fmt_int(axis * per_axis), fmt_int(steps),
-                   fmt(ref_s), fmt(fast_s), fmt(ref_s / fast_s)});
+                   fmt(t.ref_s), fmt(t.fast_s), fmt(t.speedup)});
   }
   std::cout << "## RD direct per-iteration host time (P2, CG+ILU0, "
             << axis << " cells/rank-axis)\n";
@@ -311,8 +348,9 @@ int main(int argc, char** argv) {
   const CliArgs args(argc, argv);
   bench::BenchOutput out(args, "kernels");
 
-  std::cout << "# Hot-path kernel microbenchmarks (host wall time, "
-               "reference vs fast)\n\n";
+  pin_to_current_cpu();
+  std::cout << "# Hot-path kernel microbenchmarks (process CPU time on one "
+               "CPU, median of paired reference/fast runs)\n\n";
   bench_spmv(out, args);
   bench_vec(out, args);
   bench_assembly(out, args);

@@ -6,7 +6,9 @@
 #include <algorithm>
 #include <cstdio>
 #include <map>
+#include <optional>
 #include <set>
+#include <unordered_map>
 
 #include "broker/frontier.hpp"
 #include "obs/bench_io.hpp"
@@ -16,6 +18,10 @@
 namespace hetero::grid {
 
 namespace {
+
+/// Members of a launched and of a failed cell record (build_report).
+constexpr std::size_t kLaunchedCellMembers = 32;
+constexpr std::size_t kFailedCellMembers = 19;
 
 std::string hex_u64(std::uint64_t v) {
   char buf[19];
@@ -138,15 +144,19 @@ std::vector<obs::Json> build_report(
     std::set<std::string> reasons;
   };
   std::map<std::string, PlatformTally> tallies;
-  std::set<std::string> unique_keys;
+  // One entry per unique experiment, holding its skew imbalance once a
+  // launched cell has needed it: the objective axis re-scores one result
+  // three times, and the factors behind the imbalance are per experiment.
+  std::unordered_map<std::string, std::optional<double>> unique_experiments;
   std::int64_t launched_cells = 0;
   std::int64_t stochastic_cells = 0;
 
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const GridCell& cell = cells[i];
     const core::ExperimentResult& r = results[i];
-    unique_keys.insert(
-        core::experiment_cache_key(cell.experiment, runner_seed));
+    std::optional<double>& skew =
+        unique_experiments[core::experiment_cache_key(cell.experiment,
+                                                      runner_seed)];
     stochastic_cells += cell.stochastic ? 1 : 0;
     PlatformTally& tally = tallies[cell.platform];
     ++tally.cells;
@@ -160,6 +170,7 @@ std::vector<obs::Json> build_report(
     }
 
     obs::Json rec = obs::Json::object();
+    rec.reserve(r.launched ? kLaunchedCellMembers : kFailedCellMembers);
     rec.set("schema", kGridSchema);
     rec.set("type", "cell");
     rec.set("cell", cell.index);
@@ -189,7 +200,10 @@ std::vector<obs::Json> build_report(
       rec.set("spot_hosts", r.spot_hosts);
       rec.set("launch_retries", r.resil.launch_retries);
       rec.set("retry_delay_s", r.resil.retry_delay_s);
-      rec.set("skew_imbalance", skew_imbalance(cell, runner_seed));
+      if (!skew) {
+        skew = skew_imbalance(cell, runner_seed);
+      }
+      rec.set("skew_imbalance", *skew);
       const double run_s = r.iteration.total_s * spec.iterations;
       rec.set("run_s", run_s);
       rec.set("effective_s", r.queue_wait_s +
@@ -268,7 +282,7 @@ std::vector<obs::Json> build_report(
   summary.set("calm_cells",
               static_cast<std::int64_t>(cells.size()) - stochastic_cells);
   summary.set("unique_experiments",
-              static_cast<std::int64_t>(unique_keys.size()));
+              static_cast<std::int64_t>(unique_experiments.size()));
   summary.set("frontier_points", frontier_points);
   records.push_back(std::move(summary));
   return records;

@@ -4,6 +4,7 @@
 #include <unistd.h>
 
 #include <cctype>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 
@@ -79,27 +80,44 @@ JsonlWriter::JsonlWriter(const std::string& path) : path_(path) {
   HETERO_REQUIRE(fd_ >= 0, "cannot open JSONL output file: " + path_);
 }
 
-JsonlWriter::~JsonlWriter() { close(); }
+JsonlWriter::~JsonlWriter() {
+  try {
+    close();
+  } catch (const Error& e) {
+    // Destructors must not throw: report the lost lines here. A caller
+    // that must act on the failure calls close() itself.
+    std::fprintf(stderr, "%s\n", e.what());
+  }
+}
 
 void JsonlWriter::write(const Json& record) {
   HETERO_REQUIRE(fd_ >= 0, "JsonlWriter: write after close: " + path_);
-  // One write_all per record: the line reaches the OS whole even through
-  // EINTR storms and partial writes, so a crashed run leaves complete
-  // records only, never half a line.
-  const std::string line = record.dump() + '\n';
-  HETERO_REQUIRE(support::write_all(fd_, line.data(), line.size()),
-                 "cannot append to JSONL file: " + path_);
+  record.dump_to(buffer_);
+  buffer_.push_back('\n');
+  if (buffer_.size() >= kChunkBytes) {
+    HETERO_REQUIRE(write_buffer(), "cannot append to JSONL file: " + path_);
+  }
+}
+
+bool JsonlWriter::write_buffer() {
+  // The buffer holds whole lines only, so even a run that crashes between
+  // two chunks leaves complete records behind, never half a line.
+  const bool ok = support::write_all(fd_, buffer_.data(), buffer_.size());
+  buffer_.clear();
+  return ok;
 }
 
 void JsonlWriter::close() {
   if (fd_ < 0) {
     return;
   }
+  const bool ok = write_buffer();
   // fsync before close: once the writer is gone the file is durable, not
   // parked in the page cache waiting for a power cut to truncate it.
   ::fsync(fd_);
   ::close(fd_);
   fd_ = -1;
+  HETERO_REQUIRE(ok, "cannot append to JSONL file: " + path_);
 }
 
 std::vector<Json> read_jsonl(const std::string& path) {
@@ -164,6 +182,7 @@ BenchReporter::~BenchReporter() {
     for (const auto& record : records_) {
       writer.write(record);
     }
+    writer.close();
   } catch (const Error&) {
     // Destructors must not throw; a bench that cannot write its JSONL will
     // be caught by the missing/short file in check_bench.py.

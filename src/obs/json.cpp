@@ -1,5 +1,6 @@
 #include "obs/json.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -64,6 +65,11 @@ void Json::set(const std::string& key, Json value) {
     }
   }
   members_.emplace_back(key, std::move(value));
+}
+
+void Json::reserve(std::size_t members) {
+  HETERO_REQUIRE(type_ == Type::kObject, "Json: reserve() on a non-object");
+  members_.reserve(members);
 }
 
 bool Json::contains(const std::string& key) const {
@@ -131,15 +137,15 @@ void append_number(std::string& out, double v) {
     out += "null";
     return;
   }
-  if (v == std::floor(v) && std::fabs(v) < 1e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
-    out += buf;
-  } else {
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    out += buf;
-  }
+  // std::to_chars is specified as printf's "%lld" and "%.17g" (C locale),
+  // without printf's format parsing and locale lookups.
+  char buf[32];
+  const std::to_chars_result r =
+      v == std::floor(v) && std::fabs(v) < 1e15
+          ? std::to_chars(buf, buf + sizeof(buf), static_cast<long long>(v))
+          : std::to_chars(buf, buf + sizeof(buf), v,
+                          std::chars_format::general, 17);
+  out.append(buf, r.ptr);
 }
 
 }  // namespace

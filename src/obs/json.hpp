@@ -72,6 +72,9 @@ class Json {
 
   /// Object building / access. set() replaces an existing key in place.
   void set(const std::string& key, Json value);
+  /// Reserves room for `members` object members, for a caller that knows
+  /// how many set() calls follow.
+  void reserve(std::size_t members);
   bool contains(const std::string& key) const;
   /// Member lookup; throws if absent.
   const Json& at(const std::string& key) const;
@@ -81,14 +84,14 @@ class Json {
   /// Compact single-line serialization (doubles print round-trippably;
   /// integral values print without a decimal point).
   std::string dump() const;
+  /// Appends dump()'s text to `out`.
+  void dump_to(std::string& out) const;
 
   /// Strict parse of one JSON document; throws hetero::Error with position
   /// information on malformed input.
   static Json parse(const std::string& text);
 
  private:
-  void dump_to(std::string& out) const;
-
   Type type_;
   bool bool_ = false;
   double number_ = 0.0;

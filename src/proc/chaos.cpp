@@ -4,6 +4,7 @@
 
 #include "support/error.hpp"
 #include "support/hash.hpp"
+#include "support/record_log.hpp"
 
 namespace hetero::proc {
 
@@ -70,6 +71,10 @@ ChaosSpec chaos_spec_from_env() {
     return {};
   }
   return parse_chaos_spec(env);
+}
+
+std::uint64_t job_key_hash(const std::string& cache_key) {
+  return support::record_checksum(cache_key, std::string());
 }
 
 ChaosAction chaos_decide(const ChaosSpec& spec, std::uint64_t seed,

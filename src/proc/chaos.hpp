@@ -46,6 +46,11 @@ ChaosSpec parse_chaos_spec(const std::string& spec);
 /// unset.
 ChaosSpec chaos_spec_from_env();
 
+/// Stable 64-bit hash of a job's cache key: the `key_hash` chaos_decide
+/// is called with, and the hash that pins the job to its worker slot
+/// (std::hash is not stable across runs, so it cannot serve).
+std::uint64_t job_key_hash(const std::string& cache_key);
+
 enum class ChaosAction { kNone, kCrash, kHang, kExit };
 
 /// The planned action for one (job, attempt) cell. Deterministic in

@@ -16,6 +16,7 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <climits>
 #include <cstdlib>
 #include <cstring>
 #include <deque>
@@ -37,14 +38,11 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// Most jobs a worker holds unanswered (queued in its pipe or running).
+constexpr std::size_t kMaxWindowJobs = 8;
+
 double seconds_between(Clock::time_point from, Clock::time_point to) {
   return std::chrono::duration<double>(to - from).count();
-}
-
-/// Deterministic 64-bit hash of a cache key (drives slot pinning and the
-/// chaos plan; std::hash is not stable across runs, so it cannot be used).
-std::uint64_t key_hash64(const std::string& key) {
-  return support::record_checksum(key, std::string());
 }
 
 // ---------------------------------------------------------------------------
@@ -108,7 +106,7 @@ extern "C" void proc_heartbeat_tick(int) {
     const core::Experiment experiment = decode_experiment(frame.payload);
     const std::string key = core::experiment_cache_key(experiment, seed);
     const ChaosAction action =
-        chaos_decide(options.chaos, seed, key_hash64(key),
+        chaos_decide(options.chaos, seed, job_key_hash(key),
                      static_cast<int>(frame.attempt));
     if (action == ChaosAction::kExit) {
       ::_exit(kChaosExitStatus);
@@ -188,8 +186,11 @@ struct Supervisor::Impl {
     Clock::time_point last_heartbeat{};
     Clock::time_point respawn_at{};
     int consecutive_deaths = 0;
-    std::deque<std::size_t> queue;    // pending job ids (batch-local)
-    std::ptrdiff_t inflight = -1;     // batch-local job id or -1
+    /// Capacity of the job pipe, the cap on window_bytes.
+    std::size_t pipe_bytes = PIPE_BUF;
+    std::deque<std::size_t> queue;   // batch-local job ids not yet sent
+    std::deque<std::size_t> window;  // sent and unanswered, in send order
+    std::size_t window_bytes = 0;    // job-frame bytes of the window
     std::string shard_path;
     std::unique_ptr<support::RecordLog> shard;  // supervisor-side reader
   };
@@ -218,9 +219,17 @@ struct Supervisor::Impl {
   obs::Histogram& heartbeat_latency =
       obs::metrics().histogram("proc.heartbeat_latency_s");
 
+  void count(std::uint64_t ProcStats::*field) {
+    std::lock_guard<std::mutex> lock(stats_mutex);
+    ++(stats.*field);
+  }
   void spawn(std::size_t index);
   void harvest(std::size_t index);
-  void death(std::size_t index, bool hung, struct Batch& batch);
+  bool replay(struct Batch& batch, std::size_t job_id);
+  void dispatch(std::size_t index, Batch& batch);
+  void settle_reply(Slot& slot, const Frame& frame, Batch& batch,
+                    Clock::time_point now);
+  void death(std::size_t index, bool hung, Batch& batch);
   double backoff_s(int consecutive_deaths) const;
 };
 
@@ -230,6 +239,11 @@ struct Batch {
     const core::Experiment* experiment = nullptr;
     std::string key;
     std::size_t slot = 0;
+    std::string payload;  // encoded experiment
+    /// The next send counts as a dispatch: true for the first send and
+    /// after a crash is charged, false when the job is only re-sent
+    /// because it sat behind the job that killed its worker.
+    bool dispatch_due = true;
     core::ExecOutcome outcome;
     bool done = false;
   };
@@ -288,6 +302,11 @@ void Supervisor::Impl::spawn(std::size_t index) {
   slot.job_fd = job_pipe[1];
   slot.result_fd = result_pipe[0];
   slot.heartbeat_fd = heartbeat_pipe[0];
+#ifdef F_GETPIPE_SZ
+  const int pipe_bytes = ::fcntl(slot.job_fd, F_GETPIPE_SZ);
+  slot.pipe_bytes = pipe_bytes > 0 ? static_cast<std::size_t>(pipe_bytes)
+                                   : std::size_t{PIPE_BUF};
+#endif
   slot.alive = true;
   slot.last_heartbeat = Clock::now();
   live_pids[index].store(pid, std::memory_order_release);
@@ -305,6 +324,80 @@ void Supervisor::Impl::harvest(std::size_t index) {
   });
 }
 
+bool Supervisor::Impl::replay(Batch& batch, std::size_t job_id) {
+  Batch::Job& job = batch.jobs[job_id];
+  const auto it = shard_index.find(job.key);
+  if (it == shard_index.end()) {
+    return false;
+  }
+  try {
+    job.outcome.result = svc::decode_result(it->second);
+  } catch (const std::exception&) {
+    return false;  // unreadable shard record (e.g. older codec): recompute
+  }
+  job.done = true;
+  count(&ProcStats::shard_replays);
+  shard_replay_count.increment();
+  return true;
+}
+
+void Supervisor::Impl::dispatch(std::size_t index, Batch& batch) {
+  Slot& slot = slots[index];
+  while (slot.alive && !slot.queue.empty() &&
+         slot.window.size() < kMaxWindowJobs) {
+    const std::size_t j = slot.queue.front();
+    Batch::Job& job = batch.jobs[j];
+    const std::size_t bytes = kFrameHeaderBytes + job.payload.size();
+    // Unanswered frames never outgrow the pipe, so this write cannot
+    // block while the worker blocks on a full result pipe. A lone frame
+    // always goes: the worker is free to read it as it is written.
+    if (!slot.window.empty() && slot.window_bytes + bytes > slot.pipe_bytes) {
+      break;
+    }
+    slot.queue.pop_front();
+    if (slot.window.empty()) {
+      slot.last_heartbeat = Clock::now();
+    }
+    slot.window.push_back(j);
+    slot.window_bytes += bytes;
+    Frame frame;
+    frame.type = FrameType::kJob;
+    frame.job_id = j;
+    frame.attempt = static_cast<std::uint32_t>(crash_counts[job.key]);
+    frame.payload = job.payload;
+    // A failed send surfaces as pipe EOF in the poll loop.
+    send_frame(slot.job_fd, frame);
+    if (job.dispatch_due) {
+      job.dispatch_due = false;
+      count(&ProcStats::jobs_dispatched);
+      dispatched_count.increment();
+    }
+  }
+}
+
+void Supervisor::Impl::settle_reply(Slot& slot, const Frame& frame,
+                                    Batch& batch, Clock::time_point now) {
+  // Workers answer in send order: a reply settles the window's oldest job.
+  if (slot.window.empty() || frame.job_id != slot.window.front() ||
+      (frame.type != FrameType::kDone && frame.type != FrameType::kFail)) {
+    return;
+  }
+  Batch::Job& job = batch.jobs[frame.job_id];
+  if (frame.type == FrameType::kDone) {
+    job.outcome.result = svc::decode_result(frame.payload);
+  } else {
+    job.outcome.failed = true;
+    job.outcome.error = frame.payload;
+  }
+  job.done = true;
+  --batch.pending;
+  slot.window.pop_front();
+  slot.window_bytes -= kFrameHeaderBytes + job.payload.size();
+  slot.consecutive_deaths = 0;
+  slot.last_heartbeat = now;
+  count(&ProcStats::results_completed);
+}
+
 void Supervisor::Impl::death(std::size_t index, bool hung, Batch& batch) {
   Slot& slot = slots[index];
   live_pids[index].store(-1, std::memory_order_release);
@@ -313,18 +406,23 @@ void Supervisor::Impl::death(std::size_t index, bool hung, Batch& batch) {
   do {
     reaped = ::waitpid(slot.pid, &status, 0);
   } while (reaped < 0 && errno == EINTR);
+  // Replies the worker sent before it died may still sit in the result
+  // pipe (a hang kill does not wait for them). The pipe now holds all it
+  // ever will, so read it without blocking: a torn last frame ends it.
+  ::fcntl(slot.result_fd, F_SETFL, O_NONBLOCK);
+  Frame frame;
+  while (!slot.window.empty() && recv_frame(slot.result_fd, &frame)) {
+    settle_reply(slot, frame, batch, Clock::now());
+  }
   ::close(slot.job_fd);
   ::close(slot.result_fd);
   ::close(slot.heartbeat_fd);
   slot.job_fd = slot.result_fd = slot.heartbeat_fd = -1;
   slot.alive = false;
   slot.pid = -1;
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex);
-    ++stats.worker_crashes;
-    if (hung) {
-      ++stats.hung_workers;
-    }
+  count(&ProcStats::worker_crashes);
+  if (hung) {
+    count(&ProcStats::hung_workers);
   }
   crash_count.increment();
   const std::string reason =
@@ -332,31 +430,23 @@ void Supervisor::Impl::death(std::size_t index, bool hung, Batch& batch) {
   obs::trace_instant("worker_death", "proc", 0.0, "slot",
                      static_cast<double>(index));
   // The worker may have finished (and sharded) jobs it never got to
-  // report; pick those up before deciding the in-flight job's fate.
+  // report; pick those up before deciding the rest of the window's fate.
   harvest(index);
-  if (slot.inflight >= 0) {
-    Batch::Job& job = batch.jobs[static_cast<std::size_t>(slot.inflight)];
-    const auto it = shard_index.find(job.key);
-    if (it != shard_index.end()) {
-      bool decoded = false;
-      try {
-        job.outcome.result = svc::decode_result(it->second);
-        decoded = true;
-      } catch (const std::exception&) {
-        // Unreadable shard record (e.g. older codec); recompute instead.
-      }
-      if (decoded) {
-        job.done = true;
-        --batch.pending;
-        slot.inflight = -1;
-        std::lock_guard<std::mutex> lock(stats_mutex);
-        ++stats.shard_replays;
-        shard_replay_count.increment();
-      }
+  std::deque<std::size_t> unsettled;
+  for (const std::size_t j : slot.window) {
+    if (replay(batch, j)) {
+      --batch.pending;
+    } else {
+      unsettled.push_back(j);
     }
   }
-  if (slot.inflight >= 0) {
-    Batch::Job& job = batch.jobs[static_cast<std::size_t>(slot.inflight)];
+  slot.window.clear();
+  slot.window_bytes = 0;
+  // The worker ran its window in order, so the oldest unsettled job is the
+  // one it died on: only that job is charged the crash. The jobs behind it
+  // never started and go back to the queue uncharged, in order.
+  if (!unsettled.empty()) {
+    Batch::Job& job = batch.jobs[unsettled.front()];
     const int crashes = ++crash_counts[job.key];
     if (crashes >= options.max_crashes_per_job) {
       job.outcome.result = core::ExperimentResult{};
@@ -366,25 +456,20 @@ void Supervisor::Impl::death(std::size_t index, bool hung, Batch& batch) {
           std::to_string(crashes) + " times (last: " + reason + ")";
       job.done = true;
       --batch.pending;
-      {
-        std::lock_guard<std::mutex> lock(stats_mutex);
-        ++stats.quarantined;
-      }
+      unsettled.pop_front();
+      count(&ProcStats::quarantined);
       quarantine_count.increment();
       obs::trace_instant("job_quarantine", "proc", 0.0, "crashes",
                          static_cast<double>(crashes));
     } else {
-      slot.queue.push_front(static_cast<std::size_t>(slot.inflight));
-      {
-        std::lock_guard<std::mutex> lock(stats_mutex);
-        ++stats.redispatches;
-      }
+      job.dispatch_due = true;
+      count(&ProcStats::redispatches);
       redispatch_count.increment();
       obs::trace_instant("job_redispatch", "proc", 0.0, "attempt",
                          static_cast<double>(crashes));
     }
-    slot.inflight = -1;
   }
+  slot.queue.insert(slot.queue.begin(), unsettled.begin(), unsettled.end());
   ++slot.consecutive_deaths;
   slot.respawn_at =
       Clock::now() + std::chrono::duration_cast<Clock::duration>(
@@ -519,11 +604,6 @@ std::vector<core::ExecOutcome> Supervisor::execute(
     const std::vector<core::Experiment>& batch_in) {
   std::lock_guard<std::mutex> exec_lock(impl_->exec_mutex);
   Impl& im = *impl_;
-  // Pick up shard records from previous batches/runs (a persistent
-  // --proc-dir makes an interrupted campaign incremental here).
-  for (std::size_t s = 0; s < im.slots.size(); ++s) {
-    im.harvest(s);
-  }
   Batch batch;
   // Identical descriptors are computed once; item_job maps every input
   // index to its (unique-keyed) job.
@@ -536,32 +616,18 @@ std::vector<core::ExecOutcome> Supervisor::execute(
       item_job[i] = it->second;
       continue;
     }
-    Batch::Job job;
-    job.experiment = &batch_in[i];
-    job.key = key;
-    job.slot = static_cast<std::size_t>(
-        key_hash64(key) % static_cast<std::uint64_t>(im.slots.size()));
     const std::size_t id = batch.jobs.size();
     job_by_key.emplace(key, id);
     item_job[i] = id;
-    const auto stored = im.shard_index.find(key);
-    if (stored != im.shard_index.end()) {
-      try {
-        job.outcome.result = svc::decode_result(stored->second);
-        job.done = true;
-        std::lock_guard<std::mutex> lock(im.stats_mutex);
-        ++im.stats.shard_replays;
-        im.shard_replay_count.increment();
-      } catch (const std::exception&) {
-        job.done = false;  // unreadable record: recompute
-      }
-    }
-    batch.jobs.push_back(std::move(job));
-  }
-  for (std::size_t j = 0; j < batch.jobs.size(); ++j) {
-    if (!batch.jobs[j].done) {
+    Batch::Job& job = batch.jobs.emplace_back();
+    job.experiment = &batch_in[i];
+    job.key = key;
+    job.slot = static_cast<std::size_t>(
+        job_key_hash(key) % static_cast<std::uint64_t>(im.slots.size()));
+    if (!im.replay(batch, id)) {
+      job.payload = encode_experiment(*job.experiment);
       ++batch.pending;
-      im.slots[batch.jobs[j].slot].queue.push_back(j);
+      im.slots[job.slot].queue.push_back(id);
     }
   }
 
@@ -574,36 +640,12 @@ std::vector<core::ExecOutcome> Supervisor::execute(
       Impl::Slot& slot = im.slots[s];
       if (!slot.alive && !slot.queue.empty() && now >= slot.respawn_at) {
         im.spawn(s);
-        {
-          std::lock_guard<std::mutex> lock(im.stats_mutex);
-          ++im.stats.respawns;
-        }
+        im.count(&ProcStats::respawns);
         im.respawn_count.increment();
       }
     }
-    // Dispatch one job per idle live worker (send failures surface as
-    // pipe EOF in the poll below and re-dispatch from there).
     for (std::size_t s = 0; s < im.slots.size(); ++s) {
-      Impl::Slot& slot = im.slots[s];
-      if (!slot.alive || slot.inflight >= 0 || slot.queue.empty()) {
-        continue;
-      }
-      const std::size_t j = slot.queue.front();
-      slot.queue.pop_front();
-      Batch::Job& job = batch.jobs[j];
-      Frame frame;
-      frame.type = FrameType::kJob;
-      frame.job_id = j;
-      frame.attempt = static_cast<std::uint32_t>(im.crash_counts[job.key]);
-      frame.payload = encode_experiment(*job.experiment);
-      slot.inflight = static_cast<std::ptrdiff_t>(j);
-      slot.last_heartbeat = Clock::now();
-      send_frame(slot.job_fd, frame);
-      {
-        std::lock_guard<std::mutex> lock(im.stats_mutex);
-        ++im.stats.jobs_dispatched;
-      }
-      im.dispatched_count.increment();
+      im.dispatch(s, batch);
     }
     // Wait for results, heartbeats, deaths — bounded by the nearest
     // deadline (hung-worker check or pending respawn).
@@ -617,7 +659,7 @@ std::vector<core::ExecOutcome> Supervisor::execute(
         fd_slot.push_back(s);
         fds.push_back({slot.heartbeat_fd, POLLIN, 0});
         fd_slot.push_back(s);
-        if (slot.inflight >= 0) {
+        if (!slot.window.empty()) {
           deadline = std::min(deadline, slot.last_heartbeat + heartbeat_timeout);
         }
       } else if (!slot.queue.empty()) {
@@ -661,25 +703,7 @@ std::vector<core::ExecOutcome> Supervisor::execute(
       if ((fds[f].revents & POLLIN) != 0) {
         Frame frame;
         if (recv_frame(slot.result_fd, &frame)) {
-          if (slot.inflight >= 0 &&
-              frame.job_id == static_cast<std::uint64_t>(slot.inflight) &&
-              (frame.type == FrameType::kDone ||
-               frame.type == FrameType::kFail)) {
-            Batch::Job& job = batch.jobs[frame.job_id];
-            if (frame.type == FrameType::kDone) {
-              job.outcome.result = svc::decode_result(frame.payload);
-            } else {
-              job.outcome.failed = true;
-              job.outcome.error = frame.payload;
-            }
-            job.done = true;
-            --batch.pending;
-            slot.inflight = -1;
-            slot.consecutive_deaths = 0;
-            slot.last_heartbeat = after;
-            std::lock_guard<std::mutex> lock(im.stats_mutex);
-            ++im.stats.results_completed;
-          }
+          im.settle_reply(slot, frame, batch, after);
           continue;
         }
         im.death(s, /*hung=*/false, batch);
@@ -689,11 +713,11 @@ std::vector<core::ExecOutcome> Supervisor::execute(
         im.death(s, /*hung=*/false, batch);
       }
     }
-    // Heartbeat deadlines: a live worker with an in-flight job and no
+    // Heartbeat deadlines: a live worker with unanswered jobs and no
     // heartbeat past the timeout is hung — SIGKILL and treat as a death.
     for (std::size_t s = 0; s < im.slots.size(); ++s) {
       Impl::Slot& slot = im.slots[s];
-      if (slot.alive && slot.inflight >= 0 &&
+      if (slot.alive && !slot.window.empty() &&
           after - slot.last_heartbeat > heartbeat_timeout) {
         ::kill(slot.pid, SIGKILL);
         im.death(s, /*hung=*/true, batch);

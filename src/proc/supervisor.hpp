@@ -10,22 +10,36 @@
 /// same shard), shipped as binary frames over per-worker pipes, and
 /// collected in submission order.
 ///
+/// Each worker holds a *window* of up to 8 sent, unanswered jobs, so it
+/// never idles waiting for the supervisor between jobs. The window's job
+/// frames never total more bytes than the job pipe holds (F_GETPIPE_SZ),
+/// so the supervisor's write cannot block while the worker blocks on a
+/// full result pipe. A worker runs its window in order and answers in
+/// order.
+///
 /// Failure is treated as the common case:
 ///
 ///   * every worker sends a heartbeat byte on a dedicated pipe from a
-///     SIGALRM tick; a worker silent past the deadline is SIGKILLed;
+///     SIGALRM tick; a worker with unanswered jobs silent past the deadline
+///     is SIGKILLed;
 ///   * worker death (crash, chaos exit, hang-kill) is detected by pipe EOF
-///     and decoded via waitpid; the dead worker's in-flight job is
-///     re-dispatched and the slot respawns with capped exponential backoff;
+///     and decoded via waitpid. Replies still in the pipe and results in
+///     the worker's shard settle their jobs; of the rest of the window,
+///     the oldest job is the one the worker died on and alone is charged
+///     the crash and re-dispatched, and the jobs behind it, which never
+///     started, go back to the queue in order, uncharged. The slot
+///     respawns with capped exponential backoff;
 ///   * a job that kills its worker `max_crashes_per_job` times is
 ///     *quarantined*: recorded as a failed ExperimentResult naming the
 ///     crash, so a poison job cannot wedge the campaign;
 ///   * workers append every completed result to a per-slot crash-safe
 ///     shard log (`support::RecordLog`, checksummed, torn tails truncated
-///     on recovery); the supervisor harvests shards on death and at batch
-///     start, so work finished by a worker that died before reporting —
-///     or by a previous interrupted run sharing the same shard directory —
-///     is never recomputed.
+///     on recovery). The supervisor reads the shards at construction, so
+///     work left by a previous interrupted run sharing the shard directory
+///     is never recomputed, and reads a worker's shard when it dies, so
+///     work it finished but never reported is never recomputed either.
+///     Live workers report through the pipe, and nothing else re-reads the
+///     logs.
 ///
 /// Determinism: workers run the same `ExperimentRunner(seed)` as the
 /// in-process pool and results are returned in submission order, so every
@@ -49,7 +63,7 @@ struct ProcOptions {
   int workers = 1;
   /// Worker heartbeat tick (SIGALRM period).
   double heartbeat_interval_s = 0.1;
-  /// A worker with an in-flight job and no heartbeat for this long is
+  /// A worker with unanswered jobs and no heartbeat for this long is
   /// declared hung and SIGKILLed.
   double heartbeat_timeout_s = 5.0;
   /// Crashes (of any kind) one job may cause before it is quarantined.
@@ -67,6 +81,7 @@ struct ProcOptions {
 };
 
 struct ProcStats {
+  /// Jobs sent to a worker: first sends plus redispatches.
   std::uint64_t jobs_dispatched = 0;
   std::uint64_t results_completed = 0;
   /// Results answered from a shard log instead of a live worker (worker
@@ -78,7 +93,9 @@ struct ProcStats {
   std::uint64_t hung_workers = 0;
   /// Workers forked after a death (initial spawns not counted).
   std::uint64_t respawns = 0;
-  /// In-flight jobs re-sent after their worker died.
+  /// Jobs re-sent after their worker died on them (jobs re-sent only
+  /// because they sat behind such a job in its window count in neither
+  /// this nor jobs_dispatched).
   std::uint64_t redispatches = 0;
   /// Jobs recorded as failed results after max_crashes_per_job deaths.
   std::uint64_t quarantined = 0;

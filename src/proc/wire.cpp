@@ -14,7 +14,6 @@ using support::put_u32;
 using support::put_u64;
 
 constexpr std::uint32_t kFrameMagic = 0x48504631;  // "HPF1"
-constexpr std::size_t kFrameHeaderBytes = 4 + 4 + 8 + 4 + 4;
 
 }  // namespace
 

@@ -17,6 +17,7 @@
 /// reports that as false rather than throwing, because worker death is a
 /// routine event the supervisor handles.
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -31,6 +32,9 @@ enum class FrameType : std::uint32_t {
                   ///< experiment threw; an app error, not a worker crash)
   kShutdown = 4,  ///< supervisor -> worker: drain and exit(0)
 };
+
+/// Bytes of the frame header that precedes the payload.
+inline constexpr std::size_t kFrameHeaderBytes = 4 + 4 + 8 + 4 + 4;
 
 struct Frame {
   FrameType type = FrameType::kJob;

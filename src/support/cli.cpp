@@ -1,10 +1,22 @@
 #include "support/cli.hpp"
 
+#include <cerrno>
 #include <cstdlib>
+#include <limits>
 
 #include "support/error.hpp"
 
 namespace hetero {
+
+namespace {
+
+std::string out_of_range(const std::string& key, const std::string& text,
+                         std::int64_t min, std::int64_t max) {
+  return "flag --" + key + " is out of range [" + std::to_string(min) +
+         ", " + std::to_string(max) + "]: " + text;
+}
+
+}  // namespace
 
 CliArgs::CliArgs(int argc, const char* const* argv) {
   HETERO_REQUIRE(argc >= 1, "CliArgs requires argv[0]");
@@ -54,10 +66,24 @@ std::int64_t CliArgs::get_int(const std::string& key,
     return fallback;
   }
   char* end = nullptr;
+  errno = 0;
   const std::int64_t value = std::strtoll(it->second.c_str(), &end, 10);
-  HETERO_REQUIRE(end != nullptr && *end == '\0',
+  HETERO_REQUIRE(end != nullptr && end != it->second.c_str() && *end == '\0',
                  "flag --" + key + " is not an integer: " + it->second);
+  HETERO_REQUIRE(errno != ERANGE,
+                 out_of_range(key, it->second,
+                              std::numeric_limits<std::int64_t>::min(),
+                              std::numeric_limits<std::int64_t>::max()));
   return value;
+}
+
+int CliArgs::get_int32(const std::string& key, int fallback) const {
+  constexpr int kMin = std::numeric_limits<int>::min();
+  constexpr int kMax = std::numeric_limits<int>::max();
+  const std::int64_t value = get_int(key, fallback);
+  HETERO_REQUIRE(value >= kMin && value <= kMax,
+                 out_of_range(key, get_string(key, ""), kMin, kMax));
+  return static_cast<int>(value);
 }
 
 double CliArgs::get_double(const std::string& key, double fallback) const {

@@ -20,7 +20,12 @@ class CliArgs {
 
   std::string get_string(const std::string& key,
                          const std::string& fallback) const;
+  /// Throws hetero::Error when the value is empty, is not an integer, or
+  /// does not fit in 64 bits.
   std::int64_t get_int(const std::string& key, std::int64_t fallback) const;
+  /// get_int() for an `int` setting: throws hetero::Error naming the flag
+  /// and the range when the value does not fit, instead of wrapping.
+  int get_int32(const std::string& key, int fallback) const;
   double get_double(const std::string& key, double fallback) const;
   bool get_bool(const std::string& key, bool fallback) const;
 

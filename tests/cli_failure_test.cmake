@@ -128,6 +128,24 @@ if(EXISTS cli_failure_trail.jsonl)
   message(FATAL_ERROR "a rejected run wrote its --rebroker-trail file")
 endif()
 
+# Integer flags are range-checked, not narrowed: --ranks 4294967304 used to
+# wrap to 8 and print the 8-rank answer.
+execute_process(
+  COMMAND ${HETEROLAB} run --app rd --platform puma --ranks 4294967304
+  RESULT_VARIABLE rc
+  OUTPUT_VARIABLE out
+  ERROR_VARIABLE err)
+if(NOT rc EQUAL 1 OR NOT err MATCHES
+   "flag --ranks is out of range \\[-2147483648, 2147483647\\]: 4294967304")
+  message(FATAL_ERROR
+    "--ranks 4294967304 should exit 1 naming the flag and its range; "
+    "rc=${rc} stdout: ${out} stderr: ${err}")
+endif()
+
+# An empty integer value is no integer; it used to read as 0.
+expect_run(fail "flag --cells is not an integer: \n"
+  --app rd --platform puma --ranks 8 --cells=)
+
 # Unknown flags are rejected, not silently ignored.
 execute_process(
   COMMAND ${HETEROLAB} run --no-such-flag 1
@@ -196,6 +214,10 @@ expect_cmd(fail "--iterations must be positive"
   grid --matrix smoke --iterations 0 --out -)
 expect_cmd(fail "--shard-size must be positive"
   grid --matrix smoke --shard-size 0 --out -)
+# A value past 64 bits is out of range too, not clamped.
+expect_cmd(fail
+  "flag --seed is out of range .-9223372036854775808, 9223372036854775807.: 99999999999999999999"
+  grid --matrix smoke --seed 99999999999999999999 --out -)
 
 # Unknown presets are rejected before any expansion work.
 expect_cmd(fail "unknown --matrix preset: nightly .expected full.ci.smoke."

@@ -8,8 +8,13 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <cfloat>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <limits>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -273,6 +278,82 @@ TEST(Json, NonFiniteNumbersSerializeAsNull) {
   EXPECT_DOUBLE_EQ(parsed.at("iters").as_number(), 12.0);
 }
 
+/// The number rendering Json::dump() had before it moved to std::to_chars,
+/// kept as the oracle: printf's %lld for integral values below 1e15 in
+/// magnitude, %.17g for everything else finite, null for NaN and ±inf.
+std::string printf_number(double v) {
+  if (!std::isfinite(v)) {
+    return "null";
+  }
+  char buf[40];
+  if (v == std::floor(v) && std::fabs(v) < 1e15) {
+    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
+  } else {
+    std::snprintf(buf, sizeof(buf), "%.17g", v);
+  }
+  return buf;
+}
+
+std::string bits_of(double v) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof(bits));
+  char buf[24];
+  std::snprintf(buf, sizeof(buf), "0x%016llx",
+                static_cast<unsigned long long>(bits));
+  return buf;
+}
+
+TEST(Json, NumbersKeepThePrintfBytes) {
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<double> values = {
+      0.0, -0.0, 1.0, -1.0, 0.1, -0.1, 1.0 / 3.0, 4.44, 1e-7, 123.456,
+      // subnormals, the normal boundary, the extremes
+      std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(), DBL_MIN / 2.0, DBL_MIN,
+      -DBL_MIN, std::nextafter(DBL_MIN, 0.0), DBL_MAX, -DBL_MAX,
+      // integers around the %lld / %.17g switch at 1e15
+      1e15, -1e15, 1e15 - 1.0, -(1e15 - 1.0), 1e15 + 1.0, -(1e15 + 1.0),
+      std::nextafter(1e15, 0.0), std::nextafter(1e15, inf),
+      std::nextafter(-1e15, 0.0), std::nextafter(-1e15, -inf),
+      9007199254740992.0, -9223372036854775808.0, 1e300, 1e-300,
+      // non-finite values render as null
+      std::numeric_limits<double>::quiet_NaN(),
+      -std::numeric_limits<double>::quiet_NaN(), inf, -inf};
+  for (const double v : values) {
+    EXPECT_EQ(obs::Json(v).dump(), printf_number(v)) << bits_of(v);
+  }
+
+  // Random bit patterns cover every exponent (and NaN payloads); random
+  // integers and decimals of report-like magnitude cover the %lld path
+  // and the short %.17g forms that random exponents almost never hit.
+  std::mt19937_64 rng(0x6a736f6e);
+  std::uniform_int_distribution<long long> integers(-2'000'000'000'000'000LL,
+                                                    2'000'000'000'000'000LL);
+  std::uniform_real_distribution<double> decimals(-1e6, 1e6);
+  std::size_t checked = 0;
+  std::size_t mismatches = 0;
+  const auto check = [&](double v) {
+    ++checked;
+    const std::string got = obs::Json(v).dump();
+    const std::string want = printf_number(v);
+    if (got != want && ++mismatches <= 10) {
+      ADD_FAILURE() << bits_of(v) << ": got " << got << ", want " << want;
+    }
+  };
+  for (int i = 0; i < 1'000'000; ++i) {
+    const std::uint64_t bits = rng();
+    double v = 0.0;
+    std::memcpy(&v, &bits, sizeof(v));
+    check(v);
+  }
+  for (int i = 0; i < 100'000; ++i) {
+    check(static_cast<double>(integers(rng)));
+    check(decimals(rng));
+  }
+  EXPECT_EQ(checked, 1'200'000u);
+  EXPECT_EQ(mismatches, 0u);
+}
+
 TEST(Json, SurrogatePairsDecodeToSupplementaryPlane) {
   // \uD83D\uDE00 is U+1F600, UTF-8 f0 9f 98 80.
   const obs::Json parsed = obs::Json::parse("\"\\uD83D\\uDE00\"");
@@ -361,22 +442,44 @@ ssize_t eintr_stormy_write(int fd, const void* data, std::size_t size) {
 
 TEST(BenchIo, JsonlWriterLandsWholeLinesThroughEintrStorms) {
   const std::string path = temp_path("obs_test_eintr.jsonl");
+  // About 1.5 chunks of records: one chunk goes out mid-stream, the rest
+  // at close(), both through the storm.
+  constexpr int kRecords = 3000;
+  const auto file_bytes = [&] {
+    std::FILE* f = std::fopen(path.c_str(), "rb");
+    std::string bytes;
+    char buf[4096];
+    std::size_t n;
+    while (f != nullptr && (n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
+      bytes.append(buf, n);
+    }
+    if (f != nullptr) {
+      std::fclose(f);
+    }
+    return bytes;
+  };
   {
     obs::JsonlWriter writer(path);
     support::set_write_hook_for_tests(&eintr_stormy_write);
-    for (int i = 0; i < 10; ++i) {
+    for (int i = 0; i < kRecords; ++i) {
       obs::Json record = obs::Json::object();
       record.set("i", i);
       record.set("label", "record-" + std::to_string(i));
       writer.write(record);
     }
+    // Whole lines only, and at least one chunk, reach the file before
+    // close().
+    const std::string early = file_bytes();
+    EXPECT_GE(early.size(), obs::JsonlWriter::kChunkBytes);
+    EXPECT_TRUE(!early.empty() && early.back() == '\n');
+    writer.close();
     support::set_write_hook_for_tests(nullptr);
   }
   // Despite every write(2) either failing with EINTR or moving one byte,
   // every record must come back whole and in order.
   const auto records = obs::read_jsonl(path);
-  ASSERT_EQ(records.size(), 10u);
-  for (int i = 0; i < 10; ++i) {
+  ASSERT_EQ(records.size(), static_cast<std::size_t>(kRecords));
+  for (int i = 0; i < kRecords; ++i) {
     EXPECT_DOUBLE_EQ(records[i].at("i").as_number(), i);
     EXPECT_EQ(records[i].at("label").as_string(),
               "record-" + std::to_string(i));

@@ -497,6 +497,73 @@ TEST(Supervisor, QuarantinesPoisonJobsAndCompletesTheCampaign) {
   EXPECT_GE(stats.worker_crashes, 2u * batch.size());
 }
 
+TEST(Supervisor, ChargesOnlyTheJobItsWorkerDiedOnInsideAWindow) {
+  // One slot holds the whole batch in its window. Chaos crashes the poison
+  // job on attempts 0 and 1, and every other job on attempt 1 only: a
+  // crash charged to any job but the poison one would make its re-send
+  // crash too, and show as an extra death.
+  ChaosSpec chaos;
+  chaos.crash_p = 0.5;
+  const auto crashes_on = [&](const core::Experiment& e, int attempt) {
+    const std::string key = core::experiment_cache_key(e, 42);
+    return chaos_decide(chaos, 42, job_key_hash(key), attempt) ==
+           ChaosAction::kCrash;
+  };
+  std::vector<core::Experiment> batch;
+  std::size_t poison = 0;
+  bool have_poison = false;
+  for (std::uint64_t seed = 1; batch.size() < 8; ++seed) {
+    core::Experiment e;
+    e.platform = "puma";
+    e.ranks = 8;
+    e.seed = seed;
+    const bool first = crashes_on(e, 0);
+    const bool second = crashes_on(e, 1);
+    if (first && second && !have_poison && batch.size() == 3) {
+      poison = batch.size();
+      have_poison = true;
+      batch.push_back(e);
+    } else if (!first && second && (have_poison || batch.size() < 3)) {
+      batch.push_back(e);
+    }
+  }
+  ASSERT_EQ(poison, 3u);
+  const auto reference = reference_encodings(batch);
+
+  ProcOptions options;
+  options.workers = 1;
+  options.chaos = chaos;
+  options.max_crashes_per_job = 2;
+  options.respawn_backoff_base_s = 0.01;
+  options.respawn_backoff_cap_s = 0.02;
+  Supervisor supervisor(42, options);
+  const auto outcomes = supervisor.execute(batch);
+
+  ASSERT_EQ(outcomes.size(), batch.size());
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    EXPECT_FALSE(outcomes[i].failed) << outcomes[i].error;
+    if (i == poison) {
+      EXPECT_FALSE(outcomes[i].result.launched);
+      EXPECT_NE(outcomes[i].result.failure_reason.find(
+                    "quarantined: experiment killed its worker 2 times"),
+                std::string::npos)
+          << "got: " << outcomes[i].result.failure_reason;
+    } else {
+      EXPECT_EQ(svc::encode_result(outcomes[i].result), reference[i])
+          << "job " << i << " diverged from the in-process pool";
+    }
+  }
+  const auto stats = supervisor.stats();
+  EXPECT_EQ(stats.worker_crashes, 2u);
+  EXPECT_EQ(stats.quarantined, 1u);
+  // The poison job's one retry is the only redispatch; the four jobs
+  // re-sent from behind it after each death are neither.
+  EXPECT_EQ(stats.redispatches, 1u);
+  EXPECT_EQ(stats.jobs_dispatched, batch.size() + 1);
+  EXPECT_EQ(stats.results_completed, batch.size() - 1);
+  EXPECT_EQ(stats.shard_replays, 0u);
+}
+
 TEST(Supervisor, HarvestsShardsFromAPreviousRun) {
   TempDir dir("proc_test_shards");
   const auto batch = small_campaign();

@@ -186,9 +186,10 @@ gate_proc_soak() {
 }
 
 # The self-checking matrix bench; the 500-cell ci matrix on 4 workers held
-# to bench/baselines/grid.json and the cross-cell invariants; a SIGTERM
-# after 4 of 8 shards resumed byte-identically from the store; and under
-# --seed 43 every stochastic cell moves while no calm cell does.
+# to bench/baselines/grid.json and the cross-cell invariants, and rerun
+# byte-identically in 8-cell shards; a SIGTERM after 4 of 8 shards resumed
+# byte-identically from the store; and under --seed 43 every stochastic
+# cell moves while no calm cell does.
 gate_grid() {
   "$BUILD/bench/bench_grid_matrix" --matrix ci \
       --json "$OUT/grid_matrix.jsonl"
@@ -196,6 +197,11 @@ gate_grid() {
       --store "$OUT/grid.ci.log" --out "$OUT/grid.ci.jsonl"
   python3 tools/check_bench.py --schema grid \
       --baseline bench/baselines/grid.json "$OUT/grid.ci.jsonl"
+  # About 63 batches through one supervisor: per-batch state (job windows,
+  # shard logs that keep growing) must not leak into the answers.
+  "$BUILD/tools/heterolab" grid --matrix ci --workers 4 --shard-size 8 \
+      --out "$OUT/grid.ci.shard8.jsonl"
+  diff "$OUT/grid.ci.jsonl" "$OUT/grid.ci.shard8.jsonl"
   rc=0
   "$BUILD/tools/heterolab" grid --matrix ci --shard-size 64 \
       --abort-after-shards 4 --store "$OUT/grid.resume.log" \

@@ -109,7 +109,7 @@ EngineBundle make_engine(const CliArgs& args, bool direct_default_1 = false,
                          std::optional<std::uint64_t> seed_override = {}) {
   EngineBundle b;
   core::CampaignEngineOptions opt;
-  opt.jobs = static_cast<int>(args.get_int("jobs", 0));
+  opt.jobs = args.get_int32("jobs", 0);
   if (opt.jobs == 0 && direct_default_1 && !args.has("jobs")) {
     opt.jobs = 1;
   }
@@ -132,8 +132,8 @@ EngineBundle make_engine(const CliArgs& args, bool direct_default_1 = false,
   popt.shard_dir = args.get_string("proc-dir", "");
   // Fork the workers before the engine exists: fork(2) from a process
   // that already has pool threads is a latent deadlock.
-  b.supervisor = proc::make_supervisor(
-      static_cast<int>(args.get_int("workers", -1)), seed, popt);
+  b.supervisor =
+      proc::make_supervisor(args.get_int32("workers", -1), seed, popt);
   opt.executor = b.supervisor.get();
   b.engine = std::make_unique<core::CampaignEngine>(seed, opt);
   return b;
@@ -159,8 +159,8 @@ int cmd_run(const CliArgs& args) {
   core::Experiment e;
   e.app = perf::app_by_name(args.get_string("app", "rd"));
   e.platform = args.get_string("platform", "puma");
-  e.ranks = static_cast<int>(args.get_int("ranks", 8));
-  e.cells_per_rank_axis = static_cast<int>(args.get_int("cells", 20));
+  e.ranks = args.get_int32("ranks", 8);
+  e.cells_per_rank_axis = args.get_int32("cells", 20);
   const std::string mode = args.get_string("mode", "modeled");
   HETERO_REQUIRE(mode == "modeled" || mode == "direct",
                  "unknown --mode '" + mode + "' (expected modeled|direct)");
@@ -174,8 +174,7 @@ int cmd_run(const CliArgs& args) {
   e.faults.net_degrade_rate = args.get_double("degrade", 0.0);
   e.recovery.kind =
       resil::recovery_kind_by_name(args.get_string("recovery", "none"));
-  e.recovery.checkpoint_every =
-      static_cast<int>(args.get_int("ckpt-every", 2));
+  e.recovery.checkpoint_every = args.get_int32("ckpt-every", 2);
   e.recovery.shrink_ranks_on_crash = args.get_bool("shrink", false);
   e.faults.reclaim_storm_rate = args.get_double("storm-rate", 0.0);
   if (args.has("rebroker")) {
@@ -185,8 +184,7 @@ int cmd_run(const CliArgs& args) {
     e.rebroker.migrate_budget_usd =
         args.get_double("migrate-budget-usd", 0.0);
     e.rebroker.deadline_s = args.get_double("rebroker-deadline-s", 0.0);
-    e.rebroker.sample_every =
-        static_cast<int>(args.get_int("rebroker-sample-every", 1));
+    e.rebroker.sample_every = args.get_int32("rebroker-sample-every", 1);
   }
   for (const char* rider : {"rebroker-hysteresis", "migrate-budget-usd",
                             "rebroker-deadline-s", "rebroker-sample-every",
@@ -241,7 +239,7 @@ int cmd_run(const CliArgs& args) {
       e.cells_per_rank_axis == 20 && !args.has("cells")) {
     e.cells_per_rank_axis = 4;  // keep direct runs laptop-sized by default
   }
-  e.direct_steps = static_cast<int>(args.get_int("steps", 3));
+  e.direct_steps = args.get_int32("steps", 3);
   HETERO_REQUIRE(e.direct_steps >= 1, "--steps needs at least one time step");
   HETERO_REQUIRE(!args.has("steps") || e.mode == core::Mode::kDirect,
                  "--steps sets the simulated MPI run's step count: needs "
@@ -412,8 +410,7 @@ int cmd_report(const std::string& which, const CliArgs& args) {
       return core::cost_figure(engine, perf::AppKind::kNavierStokes, procs);
     }
     HETERO_REQUIRE(which == "summary", "unknown report command: " + which);
-    return core::summary_table(engine,
-                               static_cast<int>(args.get_int("ranks", 125)));
+    return core::summary_table(engine, args.get_int32("ranks", 125));
   }();
   render(table, args);
   print_proc_stats(bundle.supervisor.get());
@@ -424,10 +421,10 @@ int cmd_report(const std::string& which, const CliArgs& args) {
 
 int cmd_campaign(const CliArgs& args) {
   core::CampaignConfig config;
-  config.ranks = static_cast<int>(args.get_int("ranks", 512));
-  config.cells_per_rank_axis = static_cast<int>(args.get_int("cells", 20));
-  config.iterations = static_cast<int>(args.get_int("iterations", 500));
-  config.checkpoint_interval = static_cast<int>(args.get_int("ckpt", 25));
+  config.ranks = args.get_int32("ranks", 512);
+  config.cells_per_rank_axis = args.get_int32("cells", 20);
+  config.iterations = args.get_int32("iterations", 500);
+  config.checkpoint_interval = args.get_int32("ckpt", 25);
   config.use_spot = !args.get_bool("ondemand", false);
   config.spot_bid_usd = args.get_double("bid", 0.70);
   config.faults.reclaim_storm_rate = args.get_double("storm-rate", 0.0);
@@ -452,7 +449,7 @@ int cmd_campaign(const CliArgs& args) {
 svc::ServiceOptions service_options(const CliArgs& args) {
   svc::ServiceOptions options;
   options.seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
-  options.jobs = static_cast<int>(args.get_int("jobs", 0));
+  options.jobs = args.get_int32("jobs", 0);
   options.store_path = args.get_string("store", "");
   options.budget_capacity = args.get_double("budget-capacity", 0.0);
   options.budget_refill = args.get_double("budget-refill", 0.0);
@@ -508,7 +505,7 @@ int cmd_serve(const CliArgs& args) {
   serve_options.queue_capacity =
       static_cast<std::size_t>(args.get_int("queue", 1024));
   serve_options.reject_when_full = args.get_bool("reject-when-full", false);
-  serve_options.workers = static_cast<int>(args.get_int("workers", 1));
+  serve_options.workers = args.get_int32("workers", 1);
   const std::string socket_path = args.get_string("socket", "");
   const auto stats =
       socket_path.empty()
@@ -529,9 +526,9 @@ int cmd_broker(const CliArgs& args) {
   broker::JobRequest request;
   request.app = perf::app_by_name(args.get_string("app", "rd"));
   request.total_elements = args.get_int("elements", 0);
-  request.ranks = static_cast<int>(args.get_int("ranks", 0));
-  request.cells_per_rank_axis = static_cast<int>(args.get_int("cells", 20));
-  request.iterations = static_cast<int>(args.get_int("iterations", 100));
+  request.ranks = args.get_int32("ranks", 0);
+  request.cells_per_rank_axis = args.get_int32("cells", 20);
+  request.iterations = args.get_int32("iterations", 100);
   if (args.has("deadline-h")) {
     request.deadline_h = args.get_double("deadline-h", 0.0);
   }
@@ -548,7 +545,7 @@ int cmd_broker(const CliArgs& args) {
       broker::objective_by_name(args.get_string("objective", "effective"));
   broker::Broker advisor(
       static_cast<std::uint64_t>(args.get_int("seed", 42)),
-      static_cast<int>(args.get_int("jobs", 0)));
+      args.get_int32("jobs", 0));
   const auto rec = advisor.recommend(request, objective);
 
   std::cout << "objective     " << objective.name << " — "
@@ -623,15 +620,14 @@ int cmd_grid(const CliArgs& args) {
         static_cast<std::uint64_t>(args.get_int("sample-seed", 7));
   }
   spec.matrix_seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
-  spec.iterations = static_cast<int>(args.get_int("iterations", 100));
+  spec.iterations = args.get_int32("iterations", 100);
   HETERO_REQUIRE(spec.iterations >= 1, "--iterations must be positive");
   const std::vector<grid::GridCell> cells = grid::expand(spec);
 
   grid::GridRunOptions ropt;
-  ropt.shard_size = static_cast<int>(args.get_int("shard-size", 512));
+  ropt.shard_size = args.get_int32("shard-size", 512);
   HETERO_REQUIRE(ropt.shard_size >= 1, "--shard-size must be positive");
-  ropt.abort_after_shards =
-      static_cast<int>(args.get_int("abort-after-shards", 0));
+  ropt.abort_after_shards = args.get_int32("abort-after-shards", 0);
   HETERO_REQUIRE(ropt.abort_after_shards >= 0,
                  "--abort-after-shards must be >= 0");
   ropt.progress = [](int shard, int shards, std::int64_t done,
