@@ -268,7 +268,7 @@ StepRecord RdSolver::step() {
         comm_->allgatherv(std::span<const double>(&mine, 1));
   }
 
-  trace_step_phases(comm_->world_rank(), t_begin, t_assembled,
+  trace_step_phases(comm_->rank(), t_begin, t_assembled,
                     t_preconditioned, t_solved);
   if (comm_->rank() == 0) {
     record_phase_metrics(record.timing);

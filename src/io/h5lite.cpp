@@ -3,6 +3,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 
@@ -24,6 +25,19 @@ void read_all(int fd, void* data, std::size_t bytes) {
                  "h5lite: short read (corrupt file?)");
 }
 }  // namespace
+
+std::uint64_t DatasetInfo::element_count() const {
+  if (std::find(shape.begin(), shape.end(), std::uint64_t{0}) !=
+      shape.end()) {
+    return 0;
+  }
+  std::uint64_t n = 1;
+  for (std::uint64_t d : shape) {
+    HETERO_REQUIRE(!__builtin_mul_overflow(n, d, &n),
+                   "h5lite: dataset shape has 2^64 elements or more");
+  }
+  return n;
+}
 
 H5LiteWriter::H5LiteWriter(const std::string& path)
     : path_(path), tmp_path_(path + ".tmp") {
@@ -58,8 +72,7 @@ void H5LiteWriter::write_raw(const std::string& name, DType dtype,
   Entry entry;
   entry.info.dtype = dtype;
   entry.info.shape = shape;
-  const std::size_t element_size = 8;
-  HETERO_REQUIRE(entry.info.element_count() * element_size == bytes,
+  HETERO_REQUIRE(entry.info.element_count() == bytes / 8,
                  "h5lite: shape does not match data size for " + name);
   entry.offset = cursor_;
   write_all(fd_, data, bytes);
@@ -161,10 +174,10 @@ H5LiteReader::H5LiteReader(const std::string& path) : path_(path) {
     }
     read_all(fd_, &entry.offset, sizeof(entry.offset));
     // The payload must fit between the header and the TOC.
+    const std::uint64_t elements = entry.info.element_count();
     HETERO_REQUIRE(entry.offset >= sizeof(kMagic) &&
-                       entry.info.element_count() * 8 <= toc_offset &&
-                       entry.offset <= toc_offset -
-                                           entry.info.element_count() * 8,
+                       elements <= toc_offset / 8 &&
+                       entry.offset <= toc_offset - elements * 8,
                    "h5lite: dataset extends past the TOC in " + path);
     toc_.emplace(std::move(name), entry);
   }

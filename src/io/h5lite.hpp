@@ -25,13 +25,8 @@ struct DatasetInfo {
   DType dtype = DType::kFloat64;
   std::vector<std::uint64_t> shape;
 
-  std::uint64_t element_count() const {
-    std::uint64_t n = 1;
-    for (auto s : shape) {
-      n *= s;
-    }
-    return n;
-  }
+  /// Product of the dims; throws Error when it does not fit in 64 bits.
+  std::uint64_t element_count() const;
 };
 
 /// Write-mode file: datasets are appended, the table of contents lands at

@@ -60,48 +60,12 @@ double barrier_time(const Topology& topo) {
   return tree_time(topo, 8);
 }
 
-double bcast_time(const Topology& topo, std::uint64_t bytes) {
-  if (topo.ranks() <= 1) {
-    return 0.0;
-  }
-  return tree_time(topo, bytes);
-}
-
 double allreduce_time(const Topology& topo, std::uint64_t bytes) {
   if (topo.ranks() <= 1) {
     return 0.0;
   }
   // Recursive doubling: log2 p exchange rounds of the full payload.
   return tree_time(topo, bytes);
-}
-
-double reduce_time(const Topology& topo, std::uint64_t bytes) {
-  if (topo.ranks() <= 1) {
-    return 0.0;
-  }
-  return tree_time(topo, bytes);
-}
-
-double gather_time(const Topology& topo, std::uint64_t bytes_per_rank) {
-  const int p = topo.ranks();
-  if (p <= 1) {
-    return 0.0;
-  }
-  // Root receives p-1 messages; they serialize on the root's link. Count
-  // the off-node ones against the inter-node fabric.
-  const int on_node = std::min(p, topo.ranks_per_node()) - 1;
-  const int off_node = p - 1 - on_node;
-  double t = 0.0;
-  if (on_node > 0) {
-    t += static_cast<double>(on_node) *
-         topo.intra_node_fabric().message_time(bytes_per_rank);
-  }
-  if (off_node > 0) {
-    t += static_cast<double>(off_node) *
-         topo.inter_node_fabric().message_time(bytes_per_rank) *
-         topo.contention_scale();
-  }
-  return t;
 }
 
 double allgather_time(const Topology& topo, std::uint64_t bytes_per_rank) {

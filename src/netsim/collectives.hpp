@@ -15,18 +15,9 @@ namespace hetero::netsim {
 /// Cost of a barrier among `ranks` processes (dissemination algorithm).
 double barrier_time(const Topology& topo);
 
-/// Binomial-tree broadcast of `bytes`.
-double bcast_time(const Topology& topo, std::uint64_t bytes);
-
 /// Recursive-doubling allreduce of `bytes` (latency-dominated regime used by
 /// the solvers' dot products: bytes is typically 8).
 double allreduce_time(const Topology& topo, std::uint64_t bytes);
-
-/// Binomial-tree reduce.
-double reduce_time(const Topology& topo, std::uint64_t bytes);
-
-/// Gather of `bytes` per rank to the root (linear receive at root).
-double gather_time(const Topology& topo, std::uint64_t bytes_per_rank);
 
 /// Allgather (ring) of `bytes` per rank.
 double allgather_time(const Topology& topo, std::uint64_t bytes_per_rank);

@@ -120,8 +120,8 @@ struct Runtime::HostThread {
 };
 
 struct Runtime::Fiber {
-  Fiber(Runtime& owner, int world_rank, HostThread& home)
-      : runtime(&owner), rank(world_rank), host(&home) {
+  Fiber(Runtime& owner, int r, HostThread& home)
+      : runtime(&owner), rank(r), host(&home) {
     const std::size_t guard = page_bytes();
     const std::size_t stack = thread_stack_bytes();
     // Lazily committed: pages cost memory only once the rank touches them.
@@ -214,13 +214,8 @@ void Runtime::run(const std::function<void(Comm&)>& rank_main) {
   }
   aborted_.store(false);
   first_error_ = nullptr;
-  groups_.clear();
-  GroupState& world = groups_[0];
-  world.members.resize(static_cast<std::size_t>(p));
-  for (int r = 0; r < p; ++r) {
-    world.members[static_cast<std::size_t>(r)] = r;
-  }
-  world.inputs.resize(static_cast<std::size_t>(p));
+  rendezvous_ = Rendezvous{};
+  rendezvous_.blocks.resize(static_cast<std::size_t>(p));
 
   // Host thread h owns ranks [h * p / k, (h + 1) * p / k).
   const int k = host_threads_for(p);
@@ -356,21 +351,13 @@ void Runtime::report_deadlock(HostThread& waker) {
       if (w.op == nullptr) {
         continue;
       }
-      const bool recv = std::strcmp(w.op, "recv") == 0;
       std::string& s = what[r];
       s = w.op;
-      if (recv) {
-        s += "(source " + std::to_string(w.source) + ", tag " +
-             std::to_string(w.tag) + ")";
-      }
-      if (w.group != 0) {
-        s += " on a split communicator";
-      }
-      if (!recv) {
-        const GroupState& g = groups_.at(w.group);
-        s += " (" + std::to_string(g.arrived) + " of " +
-             std::to_string(g.members.size()) + " ranks arrived)";
-      }
+      s += std::strcmp(w.op, "recv") == 0
+               ? "(source " + std::to_string(w.source) + ", tag " +
+                     std::to_string(w.tag) + ")"
+               : " (" + std::to_string(rendezvous_.arrived) + " of " +
+                     std::to_string(fibers_.size()) + " ranks arrived)";
     }
   }
   std::string message =
@@ -415,120 +402,67 @@ const CommStats& Runtime::stats(int rank) const {
   return stats_[static_cast<std::size_t>(rank)];
 }
 
-void Runtime::post_send(int source, int dest, int tag, std::uint64_t group,
+void Runtime::post_send(int source, int dest, int tag,
                         std::vector<std::byte> payload, double depart_time) {
-  HETERO_REQUIRE(dest >= 0 && dest < size(), "send: destination out of range");
   auto& box = mailboxes_[static_cast<std::size_t>(dest)];
   std::lock_guard<std::mutex> lock(box.mutex);
-  box.queue.push_back(
-      Envelope{source, tag, group, std::move(payload), depart_time});
+  box.queue.push_back(Envelope{source, tag, std::move(payload), depart_time});
   if (!box.waiters.empty()) {
     const Wait& want = box.waiters.front()->wait;
-    if (want.source == source && want.tag == tag && want.group == group) {
+    if (want.source == source && want.tag == tag) {
       wake_all(box.waiters, *fibers_[static_cast<std::size_t>(source)]->host);
     }
   }
 }
 
-Runtime::Envelope Runtime::blocking_recv(int self, int source, int tag,
-                                         std::uint64_t group) {
+Runtime::Envelope Runtime::blocking_recv(int self, int source, int tag) {
   HETERO_REQUIRE(source >= 0 && source < size(), "recv: source out of range");
   auto& box = mailboxes_[static_cast<std::size_t>(self)];
   std::unique_lock<std::mutex> lock(box.mutex);
   for (;;) {
     check_abort();
     for (auto it = box.queue.begin(); it != box.queue.end(); ++it) {
-      if (it->source == source && it->tag == tag && it->group == group) {
+      if (it->source == source && it->tag == tag) {
         Envelope env = std::move(*it);
         box.queue.erase(it);
         return env;
       }
     }
     park(*fibers_[static_cast<std::size_t>(self)], lock, box.waiters,
-         Wait{"recv", source, tag, group});
+         Wait{"recv", source, tag});
   }
 }
 
-std::uint64_t Runtime::intern_group(std::vector<int> members) {
-  HETERO_REQUIRE(!members.empty(), "a group needs at least one member");
-  // FNV over the member list; nudge on (astronomically unlikely) collision.
-  std::uint64_t id = 1469598103934665603ULL;
-  for (int m : members) {
-    id ^= static_cast<std::uint64_t>(m) + 0x9e3779b9ULL;
-    id *= 1099511628211ULL;
-  }
-  if (id == 0) {
-    id = 1;  // 0 is the world communicator
-  }
-  std::lock_guard<std::mutex> lock(coll_mutex_);
-  for (;;) {
-    auto it = groups_.find(id);
-    if (it == groups_.end()) {
-      GroupState state;
-      state.members = std::move(members);
-      state.inputs.resize(state.members.size());
-      groups_.emplace(id, std::move(state));
-      return id;
-    }
-    if (it->second.members == members) {
-      return id;  // same membership: safe to share (generation-counted)
-    }
-    ++id;
-  }
-}
-
-const Runtime::GroupState& Runtime::group(std::uint64_t id) {
-  std::lock_guard<std::mutex> lock(coll_mutex_);
-  const auto it = groups_.find(id);
-  HETERO_REQUIRE(it != groups_.end(), "unknown communicator group");
-  return it->second;
-}
-
-std::vector<std::byte> Runtime::collective(
-    const char* name, std::uint64_t group_id, int member_index,
-    std::vector<std::byte> input, const CombineFn& combine,
-    const CombinePerRankFn* per_rank, double cost_seconds, double entry_time,
-    double* exit_time) {
+Blocks Runtime::collective(const char* name, int rank, Blocks input,
+                           const CombineFn& combine, double cost_seconds,
+                           double entry_time, double* exit_time) {
   std::unique_lock<std::mutex> lock(coll_mutex_);
   check_abort();
-  auto it = groups_.find(group_id);
-  HETERO_REQUIRE(it != groups_.end(), "unknown communicator group");
-  GroupState& g = it->second;
-  Fiber& self = *fibers_[static_cast<std::size_t>(
-      g.members[static_cast<std::size_t>(member_index)])];
+  Rendezvous& g = rendezvous_;
+  Fiber& self = *fibers_[static_cast<std::size_t>(rank)];
   const std::uint64_t my_generation = g.generation;
-  g.inputs[static_cast<std::size_t>(member_index)] = std::move(input);
+  g.blocks[static_cast<std::size_t>(rank)] = std::move(input);
   g.max_entry = (g.arrived == 0) ? entry_time
                                  : std::max(g.max_entry, entry_time);
   g.cost = (g.arrived == 0) ? cost_seconds : std::max(g.cost, cost_seconds);
   ++g.arrived;
-  if (g.arrived == static_cast<int>(g.members.size())) {
+  if (g.arrived == size()) {
     // Last arrival performs the combine and releases everyone.
-    g.personalized = per_rank != nullptr;
-    if (g.personalized) {
-      g.results_per_rank = (*per_rank)(g.inputs);
-      HETERO_CHECK(g.results_per_rank.size() == g.members.size());
-    } else {
-      g.result = combine ? combine(g.inputs) : std::vector<std::byte>{};
+    if (combine) {
+      combine(g.blocks);
     }
     g.exit = g.max_entry + g.cost * degradation_.factor_at(g.max_entry);
     g.arrived = 0;
     ++g.generation;
-    for (auto& in : g.inputs) {
-      in.clear();
-    }
     wake_all(g.waiters, *self.host);
   } else {
     while (g.generation == my_generation) {
-      park(self, lock, g.waiters, Wait{name, 0, 0, group_id});
+      park(self, lock, g.waiters, Wait{name, 0, 0});
       check_abort();
     }
   }
-  HETERO_CHECK(g.personalized == (per_rank != nullptr));
   *exit_time = g.exit;
-  return g.personalized
-             ? g.results_per_rank[static_cast<std::size_t>(member_index)]
-             : g.result;
+  return std::move(g.blocks[static_cast<std::size_t>(rank)]);
 }
 
 void Runtime::abort_all(HostThread& waker) {
@@ -538,9 +472,7 @@ void Runtime::abort_all(HostThread& waker) {
     wake_all(box.waiters, waker);
   }
   std::lock_guard<std::mutex> lock(coll_mutex_);
-  for (auto& [id, g] : groups_) {
-    wake_all(g.waiters, waker);
-  }
+  wake_all(rendezvous_.waiters, waker);
 }
 
 void Runtime::check_abort() const {

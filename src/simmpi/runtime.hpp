@@ -11,14 +11,15 @@
 /// clocks. This replaces the paper's physical clusters: the applications
 /// run the real message-passing code path; only *time* is modeled.
 ///
-/// Semantics implemented (deliberately the subset the applications and
-/// substrates use, with MPI-compatible behaviour):
+/// Semantics implemented (exactly the MPI the applications and substrates
+/// call, with MPI-compatible behaviour, on the world communicator only):
 ///   * `send` is buffered and never blocks (eager-protocol semantics);
 ///   * `recv(src, tag)` blocks until a matching message arrives; matching is
 ///     by exact (source, tag), preserving MPI's non-overtaking order per
 ///     (source, tag) pair;
-///   * collectives are synchronizing: all clocks merge to
-///     max(entry clocks) + modeled collective cost.
+///   * `barrier`, `allreduce`, `allgatherv` and `alltoallv` are
+///     synchronizing collectives: all clocks merge to max(entry clocks) +
+///     modeled collective cost.
 ///
 /// Scheduling is cooperative, run-until-blocked: each host thread owns a
 /// contiguous block of ranks and runs one of them until it blocks in a
@@ -40,7 +41,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <unordered_map>
 #include <vector>
 
 #include "netsim/degradation.hpp"
@@ -65,6 +65,11 @@ struct CommStats {
   /// not included (they move through the rendezvous, not the mailboxes).
   std::vector<std::uint64_t> bytes_by_dest;
 };
+
+/// Byte blocks a rank brings to a collective rendezvous and takes away from
+/// it: none for barrier, one for allreduce and allgatherv, one per peer
+/// rank for alltoallv.
+using Blocks = std::vector<std::vector<std::byte>>;
 
 /// Thrown inside rank bodies when another rank failed and the job is being
 /// torn down; rank code should let it propagate.
@@ -112,7 +117,7 @@ class Runtime {
   }
 
   /// Per-rank compute-cost multiplier: `Comm::compute(s)` charges
-  /// `s * fn(world_rank, virtual time)` instead of `s`. The per-rank speed
+  /// `s * fn(rank, virtual time)` instead of `s`. The per-rank speed
   /// skew (resil::SkewPlan) hooks in here. Set before run(); must be a pure
   /// function of its arguments (it is called concurrently from every host
   /// thread). Unset (the default) charges `s` unchanged, so skew-free runs
@@ -127,12 +132,8 @@ class Runtime {
   friend class Comm;
 
   struct Envelope {
-    int source = 0;  // world rank
+    int source = 0;
     int tag = 0;
-    /// Communicator the message was sent on (0 = world); matching requires
-    /// the same group, so sub-communicators isolate their tag spaces as in
-    /// MPI.
-    std::uint64_t group = 0;
     std::vector<std::byte> payload;
     /// Sender virtual time at which the message left.
     double depart_time = 0.0;
@@ -145,9 +146,8 @@ class Runtime {
   /// the message it names, and a deadlock report prints it.
   struct Wait {
     const char* op = nullptr;  // "recv" or the collective; nullptr = running
-    int source = 0;            // recv: world rank of the sender
+    int source = 0;            // recv
     int tag = 0;               // recv
-    std::uint64_t group = 0;   // communicator (0 = world)
   };
 
   struct Mailbox {
@@ -158,53 +158,37 @@ class Runtime {
   };
 
   // --- point-to-point (called by Comm) ---
-  void post_send(int source, int dest, int tag, std::uint64_t group,
-                 std::vector<std::byte> payload, double depart_time);
-  Envelope blocking_recv(int self, int source, int tag, std::uint64_t group);
+  void post_send(int source, int dest, int tag, std::vector<std::byte> payload,
+                 double depart_time);
+  Envelope blocking_recv(int self, int source, int tag);
 
   // --- synchronizing collectives ---
-  /// State of one process group: the world communicator is group 0,
-  /// sub-communicators are registered by intern_group(). Guarded by
-  /// coll_mutex_; the rendezvous is generation-counted so it is reusable.
-  struct GroupState {
-    std::vector<int> members;  // world ranks, ordered by (key, world rank)
+  /// Runs once, on the last arrival, over every rank's blocks (indexed by
+  /// rank), and leaves in entry r what rank r takes away.
+  using CombineFn = std::function<void(std::vector<Blocks>&)>;
+
+  /// One rendezvous of all ranks, entered by `rank`; `name` labels it in
+  /// deadlock reports. Every rank contributes `input` and its cost.
+  /// Returns what `combine` left for the caller, or its own input when
+  /// `combine` is empty; `*exit_time` is max(entry times) + max(costs),
+  /// the cost scaled by the degradation factor at max(entry times).
+  Blocks collective(const char* name, int rank, Blocks input,
+                    const CombineFn& combine, double cost_seconds,
+                    double entry_time, double* exit_time);
+
+  /// The world's rendezvous, guarded by coll_mutex_. It is
+  /// generation-counted, so it is reusable; each rank reads its result out
+  /// of its own entry of `blocks` before it can arrive again.
+  struct Rendezvous {
     std::uint64_t generation = 0;
     int arrived = 0;
-    std::vector<std::vector<std::byte>> inputs;
-    std::vector<std::byte> result;
-    std::vector<std::vector<std::byte>> results_per_rank;
-    bool personalized = false;
+    std::vector<Blocks> blocks;  // indexed by rank
     double max_entry = 0.0;
     double cost = 0.0;
     double exit = 0.0;
-    /// Members parked until the last arrival.
+    /// Ranks parked until the last arrival.
     std::vector<Fiber*> waiters;
   };
-
-  /// Registers (or finds) the group with these members; returns its id.
-  std::uint64_t intern_group(std::vector<int> members);
-  const GroupState& group(std::uint64_t id);
-
-  using CombineFn = std::function<std::vector<std::byte>(
-      const std::vector<std::vector<std::byte>>&)>;
-  using CombinePerRankFn = std::function<std::vector<std::vector<std::byte>>(
-      const std::vector<std::vector<std::byte>>&)>;
-
-  /// One rendezvous of group `group_id` (0 = world), entered by the member
-  /// at `member_index`; `name` labels it in deadlock reports. Every member
-  /// contributes `input` and a cost (the runtime takes the max, so members
-  /// that cannot know the cost pass 0). The last arrival runs one combine
-  /// over all inputs, indexed by member: `per_rank`, when set, yields one
-  /// result per member (alltoallv, gatherv, scatterv); otherwise `combine`
-  /// yields one result for all, and an empty `combine` yields none.
-  /// Returns the caller's result; `*exit_time` is max(entry times) + cost.
-  std::vector<std::byte> collective(const char* name, std::uint64_t group_id,
-                                    int member_index,
-                                    std::vector<std::byte> input,
-                                    const CombineFn& combine,
-                                    const CombinePerRankFn* per_rank,
-                                    double cost_seconds, double entry_time,
-                                    double* exit_time);
 
   // --- the fiber scheduler (runtime.cpp) ---
   void host_loop(HostThread& host);
@@ -232,11 +216,11 @@ class Runtime {
   std::vector<CommStats> stats_;
 
   std::mutex coll_mutex_;
-  std::unordered_map<std::uint64_t, GroupState> groups_;
+  Rendezvous rendezvous_;
 
   // Per-run scheduler state.
   std::vector<std::unique_ptr<HostThread>> hosts_;
-  std::vector<std::unique_ptr<Fiber>> fibers_;  // indexed by world rank
+  std::vector<std::unique_ptr<Fiber>> fibers_;  // indexed by rank
   const std::function<void(Comm&)>* rank_main_ = nullptr;
   /// Fibers ready or running (low 32 bits) and fibers not yet finished
   /// (high 32 bits), in one word so every transition is one atomic step:

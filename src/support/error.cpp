@@ -1,17 +1,12 @@
 #include "support/error.hpp"
 
-#include <sstream>
-
 namespace hetero::detail {
 
-void throw_error(const char* expr, const char* file, int line,
-                 const std::string& message) {
-  std::ostringstream os;
-  os << "heterolab: check failed: (" << expr << ") at " << file << ":" << line;
-  if (!message.empty()) {
-    os << " — " << message;
-  }
-  throw Error(os.str());
+void throw_error(const std::string& message) { throw Error(message); }
+
+void throw_check_failed(const char* expr, const char* file, int line) {
+  throw Error(std::string("check failed: (") + expr + ") at " + file + ":" +
+              std::to_string(line) + " — internal invariant violated");
 }
 
 }  // namespace hetero::detail

@@ -3,10 +3,11 @@
 /// \file error.hpp
 /// Error handling primitives shared by every heterolab module.
 ///
-/// Policy (follows C++ Core Guidelines E.2/E.3): programming errors and
-/// violated preconditions throw `hetero::Error` carrying the failed
-/// expression and source location; callers that can recover catch it,
-/// everything else terminates with a readable message.
+/// Policy (follows C++ Core Guidelines E.2/E.3): violated preconditions
+/// throw `hetero::Error` carrying their message, which is what a CLI user
+/// or a service client reads; broken internal invariants (heterolab bugs)
+/// also carry the failed expression and source location. Callers that can
+/// recover catch it, everything else terminates with a readable message.
 
 #include <stdexcept>
 #include <string>
@@ -21,28 +22,28 @@ class Error : public std::runtime_error {
 };
 
 namespace detail {
-/// Builds the message and throws; out-of-line so the macro stays cheap.
-[[noreturn]] void throw_error(const char* expr, const char* file, int line,
-                              const std::string& message);
+/// Throw sites kept out of line so the macros stay cheap.
+[[noreturn]] void throw_error(const std::string& message);
+[[noreturn]] void throw_check_failed(const char* expr, const char* file,
+                                     int line);
 }  // namespace detail
 
 }  // namespace hetero
 
-/// Precondition / invariant check that is always on (release included).
-/// `msg` is a string (or string expression) appended to the report.
-#define HETERO_REQUIRE(expr, msg)                                         \
-  do {                                                                    \
-    if (!(expr)) {                                                        \
-      ::hetero::detail::throw_error(#expr, __FILE__, __LINE__, (msg));    \
-    }                                                                     \
+/// Precondition check that is always on (release included): throws an
+/// `Error` whose text is exactly `msg`, a string (or string expression).
+#define HETERO_REQUIRE(expr, msg)              \
+  do {                                         \
+    if (!(expr)) {                             \
+      ::hetero::detail::throw_error((msg));    \
+    }                                          \
   } while (false)
 
-/// Internal consistency check; same behaviour as HETERO_REQUIRE but signals
-/// a heterolab bug rather than caller misuse.
-#define HETERO_CHECK(expr)                                                 \
-  do {                                                                     \
-    if (!(expr)) {                                                         \
-      ::hetero::detail::throw_error(#expr, __FILE__, __LINE__,             \
-                                    "internal invariant violated");        \
-    }                                                                      \
+/// Internal consistency check, always on: a failure is a heterolab bug, so
+/// its `Error` names the failed expression and its source location.
+#define HETERO_CHECK(expr)                                                  \
+  do {                                                                      \
+    if (!(expr)) {                                                          \
+      ::hetero::detail::throw_check_failed(#expr, __FILE__, __LINE__);      \
+    }                                                                       \
   } while (false)

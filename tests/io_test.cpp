@@ -4,11 +4,14 @@
 
 #include <cstdio>
 #include <fstream>
+#include <iterator>
+#include <utility>
 
 #include "io/checkpoint.hpp"
 #include "io/h5lite.hpp"
 #include "la/system_builder.hpp"
 #include "netsim/fabric.hpp"
+#include "prop_util.hpp"
 #include "simmpi/runtime.hpp"
 #include "support/error.hpp"
 
@@ -20,6 +23,20 @@ struct TempFile {
   explicit TempFile(const std::string& name) : path("/tmp/" + name) {}
   ~TempFile() { std::remove(path.c_str()); }
 };
+
+std::string file_bytes(const std::string& path) {
+  std::ifstream is(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(is), {}};
+}
+
+/// Replaces the file by a new one: ext4 flushes a file that was truncated
+/// and rewritten in place when it is closed, which slows 20,000 rewrites
+/// from about a second to several.
+void write_bytes(const std::string& path, const std::string& bytes) {
+  std::remove(path.c_str());
+  std::ofstream os(path, std::ios::binary);
+  os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
 
 TEST(H5Lite, RoundTripsDoublesAndInts) {
   TempFile f("h5lite_roundtrip.h5l");
@@ -146,6 +163,70 @@ TEST(H5Lite, UnclosedWriterLeavesNoFooter) {
   os.write("payloadbytes", 12);
   os.close();
   EXPECT_THROW(H5LiteReader reader(f.path), Error);
+}
+
+// A shape whose element count wraps 64 bits used to pass the TOC bounds
+// check: {2^32, 2^32} opened and read as 0 values, and {2^61+1, 1} made
+// read_doubles throw std::length_error instead of hetero::Error.
+TEST(H5Lite, RejectsShapesWhoseElementCountWraps) {
+  TempFile f("h5lite_wrapped_shape.h5l");
+  {
+    H5LiteWriter writer(f.path);
+    writer.write_doubles("u", {2, 1}, {1.0, 2.0});
+    writer.close();
+  }
+  const std::string good = file_bytes(f.path);
+  // magic, 2 doubles, then the TOC entry: u32 name length, "u", u32 dtype,
+  // u32 ndims, and the two dims.
+  const std::size_t dims = 8 + 16 + 4 + 1 + 4 + 4;
+  ASSERT_EQ(test::with_word(test::with_word(good, dims, 2), dims + 8, 1),
+            good);
+  for (const auto& [d0, d1] :
+       {std::pair{1ull << 32, 1ull << 32}, std::pair{(1ull << 61) + 1, 1ull}}) {
+    SCOPED_TRACE(std::to_string(d0) + " x " + std::to_string(d1));
+    write_bytes(f.path,
+                test::with_word(test::with_word(good, dims, d0), dims + 8, d1));
+    EXPECT_THROW(H5LiteReader reader(f.path), Error);
+  }
+  // The writer refuses such a shape as well.
+  H5LiteWriter writer(f.path);
+  EXPECT_THROW(writer.write_doubles("v", {(1ull << 61) + 1}, {1.0}), Error);
+}
+
+// 20,000 seeded mutants of a file with one float64 and one int64 dataset:
+// each either raises hetero::Error, or opens and reads every listed dataset
+// with exactly element_count() values. run_mutants counts a mutant as
+// decoded when encode(decode(m)) == m, so the decode step answers the
+// mutant's own bytes when every read had the right length.
+TEST(H5Lite, SurvivesSeededMutants) {
+  TempFile f("h5lite_mutants.h5l");
+  {
+    H5LiteWriter writer(f.path);
+    writer.write_doubles("fields/u", {2, 3}, {1, 2, 3, 4, 5, 6});
+    writer.write_ints("meta/steps", {4}, {10, 20, 30, 40});
+    writer.close();
+  }
+  const auto tally = test::run_mutants(
+      0x5eed0e3, file_bytes(f.path), 20000,
+      [&](const std::string& bytes) {
+        write_bytes(f.path, bytes);
+        H5LiteReader reader(f.path);
+        for (const auto& name : reader.names()) {
+          const DatasetInfo info = reader.info(name);
+          const std::size_t got = info.dtype == DType::kFloat64
+                                      ? reader.read_doubles(name).size()
+                                      : reader.read_ints(name).size();
+          if (got != info.element_count()) {
+            return "misread " + name;
+          }
+        }
+        return bytes;
+      },
+      [](const std::string& decoded) { return decoded; });
+  EXPECT_EQ(tally.misread, 0);
+  EXPECT_EQ(tally.foreign, 0);
+  EXPECT_GT(tally.rejected, 0);
+  EXPECT_GT(tally.decoded, 0);
 }
 
 /// Builds a small distributed vector with gids 0..n-1 block-distributed.

@@ -399,8 +399,8 @@ TEST(DistSystemBuilder, DeterministicAcrossIdenticalRuns) {
         x[l] = 0.1 * static_cast<double>(builder.map().gid(l));
       }
       builder.matrix().multiply(comm, x, y);
-      const auto gathered = comm.gatherv(
-          std::vector<double>(y.owned().begin(), y.owned().end()), 0);
+      const auto gathered = comm.allgatherv(
+          std::vector<double>(y.owned().begin(), y.owned().end()));
       if (comm.rank() == 0) {
         result = gathered;
       }

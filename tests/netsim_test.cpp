@@ -164,7 +164,6 @@ TEST(Collectives, SingleRankIsFree) {
                                 Fabric::shared_memory());
   EXPECT_DOUBLE_EQ(barrier_time(topo), 0.0);
   EXPECT_DOUBLE_EQ(allreduce_time(topo, 8), 0.0);
-  EXPECT_DOUBLE_EQ(bcast_time(topo, 1024), 0.0);
   EXPECT_DOUBLE_EQ(alltoall_time(topo, 1024), 0.0);
 }
 
@@ -217,14 +216,6 @@ TEST(Collectives, LatencyRankingCarriesOver) {
   auto ge = Topology::uniform(64, 4, Fabric::gigabit_ethernet(),
                               Fabric::shared_memory());
   EXPECT_LT(allreduce_time(ib, 8), allreduce_time(ge, 8) / 3.0);
-}
-
-TEST(Collectives, GatherIsLinearInRanks) {
-  auto t8 = Topology::uniform(8, 1, flat_fabric(), Fabric::shared_memory());
-  auto t32 = Topology::uniform(32, 1, flat_fabric(), Fabric::shared_memory());
-  const double g8 = gather_time(t8, 1024);
-  const double g32 = gather_time(t32, 1024);
-  EXPECT_NEAR(g32 / g8, 31.0 / 7.0, 0.5);
 }
 
 TEST(Collectives, AlltoallCostsMoreThanAllgather) {

@@ -12,8 +12,10 @@
 #include <string>
 #include <thread>
 
+#include "netsim/collectives.hpp"
 #include "netsim/fabric.hpp"
 #include "obs/trace.hpp"
+#include "prop_util.hpp"
 #include "resil/recovery.hpp"
 #include "simmpi/comm.hpp"
 #include "simmpi/runtime.hpp"
@@ -105,20 +107,6 @@ TEST(Runtime, BarrierSynchronizesClocks) {
   });
 }
 
-TEST(Runtime, BcastDeliversRootPayload) {
-  Runtime rt(test_topology(5));
-  rt.run([&](Comm& comm) {
-    std::vector<std::int64_t> data;
-    if (comm.rank() == 2) {
-      data = {42, 43, 44};
-    }
-    comm.bcast(data, 2);
-    ASSERT_EQ(data.size(), 3u);
-    EXPECT_EQ(data[0], 42);
-    EXPECT_EQ(data[2], 44);
-  });
-}
-
 TEST(Runtime, AllreduceSumMinMax) {
   Runtime rt(test_topology(4));
   rt.run([&](Comm& comm) {
@@ -199,87 +187,72 @@ TEST(Runtime, AlltoallvHandlesEmptyBlocks) {
   });
 }
 
-TEST(Runtime, IrecvMatchesLikeBlockingRecv) {
-  Runtime rt(test_topology(2));
-  rt.run([&](Comm& comm) {
-    if (comm.rank() == 0) {
-      comm.send(std::vector<double>{1.0}, 1, 5);
-      comm.send(std::vector<double>{2.0}, 1, 6);
-    } else {
-      // Post both requests before any completes, wait out of order.
-      auto r5 = comm.irecv<double>(0, 5);
-      auto r6 = comm.irecv<double>(0, 6);
-      EXPECT_TRUE(r5.valid());
-      const auto b = r6.wait();
-      const auto a = r5.wait();
-      EXPECT_DOUBLE_EQ(a[0], 1.0);
-      EXPECT_DOUBLE_EQ(b[0], 2.0);
-      EXPECT_FALSE(r5.valid());
-      EXPECT_THROW(r5.wait(), Error);  // consumed
+// alltoallv's contract at any rank count, with seeded random block sizes
+// (some blocks empty, one round empty everywhere) and allreduce rounds in
+// between, so the rendezvous is reused across collective kinds: every rank
+// receives exactly the blocks addressed to it, and leaves at max(entry
+// clocks) + the largest per-rank charge alltoall_time(topology,
+// max(1, sum of its block bytes / p)). The charge is deterministic, so the
+// clocks compare with ==.
+TEST(Runtime, AlltoallvDeliversEveryBlockAndChargesTheLargestCost) {
+  for (const int p : {1, 2, 3, 8, 27}) {
+    SCOPED_TRACE("p = " + std::to_string(p));
+    Runtime rt(test_topology(p));
+    rt.run([&](Comm& comm) {
+      const int me = comm.rank();
+      for (int round = 0; round < 6; ++round) {
+        // What `src` addresses to `dst` this round; a receiver rebuilds it.
+        const auto block = [round](int src, int dst) {
+          std::vector<std::int64_t> b;
+          if (round == 3) {
+            return b;  // the all-empty round
+          }
+          test::PropRng rng(static_cast<std::uint64_t>(
+              (round * 1000 + src) * 1000 + dst));
+          const int n = std::max(0, rng.uniform_int(-3, 9));
+          for (int i = 0; i < n; ++i) {
+            b.push_back(static_cast<std::int64_t>(rng.next_u64()));
+          }
+          return b;
+        };
+        std::vector<std::vector<std::int64_t>> out(
+            static_cast<std::size_t>(p));
+        std::uint64_t bytes = 0;
+        for (int d = 0; d < p; ++d) {
+          out[static_cast<std::size_t>(d)] = block(me, d);
+          bytes += out[static_cast<std::size_t>(d)].size() *
+                   sizeof(std::int64_t);
+        }
+        test::PropRng skew(static_cast<std::uint64_t>(round * 1000 + me));
+        comm.compute(skew.uniform(0.0, 1e-3));
+        const double entry = comm.now();
+        const auto in = comm.alltoallv(out);
+        const double exit = comm.now();
+        ASSERT_EQ(in.size(), static_cast<std::size_t>(p));
+        for (int s = 0; s < p; ++s) {
+          EXPECT_EQ(in[static_cast<std::size_t>(s)], block(s, me))
+              << "round " << round << ", block " << s << " -> " << me;
+        }
+        const double cost = netsim::alltoall_time(
+            comm.topology(), std::max<std::uint64_t>(
+                                 1, bytes / static_cast<std::uint64_t>(p)));
+        const auto entries = comm.allgatherv(std::vector<double>{entry});
+        const auto costs = comm.allgatherv(std::vector<double>{cost});
+        EXPECT_EQ(exit, *std::max_element(entries.begin(), entries.end()) +
+                            *std::max_element(costs.begin(), costs.end()))
+            << "round " << round << ", rank " << me;
+        EXPECT_EQ(comm.allreduce(std::int64_t{me}, ReduceOp::kSum),
+                  std::int64_t{p} * (p - 1) / 2);
+      }
+    });
+    for (const int blocks : {p - 1, p + 1}) {
+      EXPECT_THROW(rt.run([&](Comm& comm) {
+                     comm.alltoallv(std::vector<std::vector<double>>(
+                         static_cast<std::size_t>(blocks)));
+                   }),
+                   Error);
     }
-  });
-}
-
-TEST(Runtime, SendrecvExchangesBetweenNeighbours) {
-  Runtime rt(test_topology(4));
-  rt.run([&](Comm& comm) {
-    const int right = (comm.rank() + 1) % comm.size();
-    const int left = (comm.rank() + comm.size() - 1) % comm.size();
-    const std::vector<std::int64_t> mine{comm.rank()};
-    const auto got =
-        comm.sendrecv(std::span<const std::int64_t>(mine), right, 3, left, 3);
-    ASSERT_EQ(got.size(), 1u);
-    EXPECT_EQ(got[0], left);
-  });
-}
-
-TEST(Runtime, GathervConcentratesAtRoot) {
-  Runtime rt(test_topology(3));
-  rt.run([&](Comm& comm) {
-    std::vector<std::int64_t> mine(static_cast<std::size_t>(comm.rank() + 1),
-                                   comm.rank() * 10);
-    const auto all = comm.gatherv(mine, 1);
-    if (comm.rank() == 1) {
-      ASSERT_EQ(all.size(), 6u);  // 1 + 2 + 3
-      EXPECT_EQ(all[0], 0);
-      EXPECT_EQ(all[1], 10);
-      EXPECT_EQ(all[3], 20);
-    } else {
-      EXPECT_TRUE(all.empty());
-    }
-  });
-}
-
-TEST(Runtime, ScattervDistributesRootBlocks) {
-  Runtime rt(test_topology(3));
-  rt.run([&](Comm& comm) {
-    std::vector<std::vector<double>> blocks;
-    if (comm.rank() == 2) {
-      blocks = {{0.5}, {1.5, 1.6}, {}};
-    }
-    const auto mine = comm.scatterv(blocks, 2);
-    switch (comm.rank()) {
-      case 0:
-        ASSERT_EQ(mine.size(), 1u);
-        EXPECT_DOUBLE_EQ(mine[0], 0.5);
-        break;
-      case 1:
-        ASSERT_EQ(mine.size(), 2u);
-        EXPECT_DOUBLE_EQ(mine[1], 1.6);
-        break;
-      default:
-        EXPECT_TRUE(mine.empty());
-    }
-  });
-}
-
-TEST(Runtime, ScattervValidatesRootBlockCount) {
-  Runtime rt(test_topology(2));
-  EXPECT_THROW(rt.run([&](Comm& comm) {
-                 std::vector<std::vector<double>> blocks{{1.0}};  // need 2
-                 comm.scatterv(blocks, comm.rank() == 0 ? 0 : 0);
-               }),
-               Error);
+  }
 }
 
 TEST(Runtime, CollectivesAreRepeatable) {
@@ -351,107 +324,6 @@ TEST(Runtime, ClockNeverRunsBackwards) {
   });
 }
 
-TEST(Split, EvenOddGroupsReduceIndependently) {
-  Runtime rt(test_topology(6));
-  rt.run([&](Comm& comm) {
-    Comm sub = comm.split(comm.rank() % 2, comm.rank());
-    EXPECT_EQ(sub.size(), 3);
-    EXPECT_EQ(sub.rank(), comm.rank() / 2);
-    EXPECT_EQ(sub.world_rank(), comm.rank());
-    EXPECT_FALSE(sub.is_world());
-    const auto sum = sub.allreduce(
-        static_cast<std::int64_t>(comm.rank()), ReduceOp::kSum);
-    EXPECT_EQ(sum, comm.rank() % 2 == 0 ? 0 + 2 + 4 : 1 + 3 + 5);
-    // The parent communicator still works afterwards.
-    EXPECT_EQ(comm.allreduce(std::int64_t{1}, ReduceOp::kSum), 6);
-  });
-}
-
-TEST(Split, KeyControlsTheOrdering) {
-  Runtime rt(test_topology(4));
-  rt.run([&](Comm& comm) {
-    // Reverse order: highest world rank becomes group rank 0.
-    Comm sub = comm.split(0, -comm.rank());
-    EXPECT_EQ(sub.rank(), comm.size() - 1 - comm.rank());
-    // Gather to the group's rank 0 (world rank 3).
-    const std::vector<std::int64_t> mine{comm.rank()};
-    const auto all = sub.gatherv(mine, 0);
-    if (sub.rank() == 0) {
-      ASSERT_EQ(all.size(), 4u);
-      EXPECT_EQ(all[0], 3);  // ordered by group rank = reversed world
-      EXPECT_EQ(all[3], 0);
-    }
-  });
-}
-
-TEST(Split, TagSpacesAreIsolated) {
-  Runtime rt(test_topology(4));
-  rt.run([&](Comm& comm) {
-    Comm sub = comm.split(0, comm.rank());  // same membership as world
-    if (comm.rank() == 0) {
-      comm.send(std::vector<double>{1.0}, 1, 7);  // world, tag 7
-      sub.send(std::vector<double>{2.0}, 1, 7);   // sub comm, same tag
-    }
-    if (comm.rank() == 1) {
-      // The sub receive must match the sub message even though the world
-      // message with the same (source, tag) arrived first.
-      const auto s = sub.recv<double>(0, 7);
-      EXPECT_DOUBLE_EQ(s[0], 2.0);
-      const auto w = comm.recv<double>(0, 7);
-      EXPECT_DOUBLE_EQ(w[0], 1.0);
-    }
-  });
-}
-
-TEST(Split, GroupsOperateConcurrently) {
-  Runtime rt(test_topology(8));
-  rt.run([&](Comm& comm) {
-    Comm sub = comm.split(comm.rank() % 2, comm.rank());
-    // Different collectives in the two groups, repeated; any cross-group
-    // interference would deadlock or corrupt results.
-    for (int round = 0; round < 20; ++round) {
-      if (comm.rank() % 2 == 0) {
-        const auto v = sub.allreduce(1.0 * round, ReduceOp::kMax);
-        EXPECT_DOUBLE_EQ(v, round);
-      } else {
-        std::vector<std::int64_t> mine{comm.rank() + round};
-        const auto all = sub.allgatherv(mine);
-        EXPECT_EQ(all.size(), 4u);
-      }
-    }
-    comm.barrier();
-  });
-}
-
-TEST(Split, NestedSplitWorks) {
-  Runtime rt(test_topology(8));
-  rt.run([&](Comm& comm) {
-    Comm half = comm.split(comm.rank() / 4, comm.rank());  // two groups of 4
-    Comm quarter = half.split(half.rank() / 2, half.rank());  // four of 2
-    EXPECT_EQ(quarter.size(), 2);
-    const auto sum = quarter.allreduce(
-        static_cast<std::int64_t>(comm.rank()), ReduceOp::kSum);
-    // Partner is the world-rank neighbour within the same half.
-    const int base = (comm.rank() / 2) * 2;
-    EXPECT_EQ(sum, base + base + 1);
-  });
-}
-
-TEST(Split, SingletonGroupsDegenerateGracefully) {
-  Runtime rt(test_topology(3));
-  rt.run([&](Comm& comm) {
-    // Unique colors: every rank becomes its own communicator.
-    Comm solo = comm.split(comm.rank(), 0);
-    EXPECT_EQ(solo.size(), 1);
-    EXPECT_EQ(solo.rank(), 0);
-    EXPECT_DOUBLE_EQ(solo.allreduce(3.25, ReduceOp::kSum), 3.25);
-    solo.barrier();
-    const auto all = solo.allgatherv(std::vector<std::int64_t>{7});
-    ASSERT_EQ(all.size(), 1u);
-    EXPECT_EQ(all[0], 7);
-  });
-}
-
 class CollectiveRanks : public ::testing::TestWithParam<int> {};
 
 TEST_P(CollectiveRanks, AllCollectivesAgreeAtAnyRankCount) {
@@ -481,14 +353,6 @@ TEST_P(CollectiveRanks, AllCollectivesAgreeAtAnyRankCount) {
       EXPECT_EQ(in[static_cast<std::size_t>(s)][0],
                 static_cast<std::int64_t>(s) * p + comm.rank());
     }
-    // bcast from the last rank.
-    std::vector<double> payload;
-    if (comm.rank() == p - 1) {
-      payload = {3.5, 4.5};
-    }
-    comm.bcast(payload, p - 1);
-    ASSERT_EQ(payload.size(), 2u);
-    EXPECT_DOUBLE_EQ(payload[1], 4.5);
   });
 }
 
@@ -579,20 +443,6 @@ TEST(Runtime, RingWhereEveryRankReceivesFirstDeadlocks) {
                              std::to_string((r + 7) % 8) + ", tag 3)";
     EXPECT_NE(message.find(want), std::string::npos) << message;
   }
-}
-
-TEST(Runtime, DeadlockInSubCommunicatorCollectiveIsDiagnosed) {
-  // Group {1, 3} never completes its allreduce: rank 3 skips it.
-  const std::string message = deadlock_message(4, [](Comm& comm) {
-    Comm half = comm.split(comm.rank() % 2, comm.rank());
-    if (comm.rank() != 3) {
-      half.allreduce(1.0, ReduceOp::kSum);  // rank 3 never joins group 1
-    }
-  });
-  EXPECT_NE(message.find("rank 1 waits in allreduce on a split communicator "
-                         "(1 of 2 ranks arrived)"),
-            std::string::npos)
-      << message;
 }
 
 TEST(Runtime, InjectedFaultAbortsBlockedPeersWithinTheGuardWindow) {
@@ -695,7 +545,8 @@ TEST(Runtime, DegradedWindowsSlowCommunicationDeterministically) {
       for (int round = 0; round < 20; ++round) {
         comm.allreduce(static_cast<double>(round), ReduceOp::kSum);
         const int peer = comm.rank() ^ 1;
-        comm.sendrecv(std::span<const double>(payload), peer, 5, peer, 5);
+        comm.send(payload, peer, 5);
+        comm.recv<double>(peer, 5);
       }
     });
     return rt.elapsed_sim_seconds();

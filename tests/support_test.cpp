@@ -315,14 +315,24 @@ TEST(Cli, RejectsMalformedValues) {
   EXPECT_THROW(args.get_bool("b", false), Error);
 }
 
-TEST(ErrorMacros, RequireThrowsWithContext) {
+// A violated precondition reads as its message alone, which is what CLI
+// users and service clients see; a broken invariant is a heterolab bug and
+// names the failed expression and where it sits.
+TEST(ErrorMacros, RequireCarriesItsMessageAndCheckItsLocation) {
   try {
     HETERO_REQUIRE(1 == 2, "numbers disagree");
     FAIL() << "should have thrown";
   } catch (const Error& e) {
+    EXPECT_STREQ(e.what(), "numbers disagree");
+  }
+  try {
+    HETERO_CHECK(1 == 2);
+    FAIL() << "should have thrown";
+  } catch (const Error& e) {
     const std::string what = e.what();
-    EXPECT_NE(what.find("1 == 2"), std::string::npos);
-    EXPECT_NE(what.find("numbers disagree"), std::string::npos);
+    EXPECT_NE(what.find("check failed: (1 == 2) at "), std::string::npos)
+        << what;
+    EXPECT_NE(what.find("support_test.cpp:"), std::string::npos) << what;
   }
 }
 

@@ -122,6 +122,17 @@ TEST(SvcProtocol, StrictParseRejections) {
   }
 }
 
+// A client reads the rejection's message alone: no C++ check expression and
+// no source path, so the answer bytes do not depend on the build directory.
+TEST(SvcProtocol, OutOfRangeRequestIsAnsweredWithItsMessageOnly) {
+  svc::Service service(svc::ServiceOptions{});
+  EXPECT_EQ(
+      service.process_line(R"({"id":1,"app":"rd","ranks":4294967304})"),
+      std::vector<std::string>{
+          R"({"schema":"heterolab-svc-v1","type":"error","id":null,)"
+          R"("reason":"svc request: 'ranks' is out of range"})"});
+}
+
 // 20,000 seeded mutants of two request lines, one with every job key and
 // one with every rebroker key: each either parses or raises hetero::Error,
 // and whatever parses as JSON re-dumps to a fixed point.

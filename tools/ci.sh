@@ -16,7 +16,9 @@
 #
 # Each leg configures one build tree, build-ci-<leg>, and writes its gate
 # outputs under build-ci-<leg>/ci-out/, which is cleared when the leg
-# starts. ccache is used automatically when installed.
+# starts. A failed build stops the script; a failed gate does not stop the
+# gates after it: every failure is listed at the end, and the script then
+# exits 1. ccache is used automatically when installed.
 set -eu
 
 LEGS="release debug asan tsan"
@@ -35,10 +37,14 @@ if command -v ccache >/dev/null 2>&1; then
   LAUNCHER_FLAG="-DCMAKE_CXX_COMPILER_LAUNCHER=ccache"
 fi
 
+# Gates that failed so far, as LEG:GATE words.
+FAILED=""
+
 # build_leg LEG CMAKE_ARGS...: configures and builds build-ci-LEG, then
-# sets BUILD to that tree and OUT to its emptied ci-out/ directory.
+# sets LEG, BUILD to that tree and OUT to its emptied ci-out/ directory.
 build_leg() {
   echo "== ci leg: $1 =="
+  LEG="$1"
   BUILD="build-ci-$1"
   OUT="$BUILD/ci-out"
   shift
@@ -48,6 +54,21 @@ build_leg() {
   cmake --build "$BUILD" -j "$JOBS"
   rm -rf "$OUT"
   mkdir -p "$OUT"
+}
+
+# run_gate GATE [ARGS...]: runs GATE in a subshell with errexit on, so its
+# first failing command fails it, and records the failure instead of
+# stopping the leg. The gate must not run on the left of || or as an if
+# condition: errexit is off there, and a gate whose first command failed
+# would run on and report success.
+run_gate() {
+  set +e
+  (set -e; "$@")
+  rc=$?
+  set -e
+  if [ "$rc" -ne 0 ]; then
+    FAILED="$FAILED $LEG:$1"
+  fi
 }
 
 # run_ctest [CTEST_ARGS...]: the suite (or the -R subset given) on $BUILD.
@@ -221,28 +242,28 @@ gate_grid() {
 
 leg_release() {
   build_leg release -DCMAKE_BUILD_TYPE=Release -DHETERO_WERROR=ON
-  run_ctest
-  gate_broker_smoke
-  gate_paper_benches
-  gate_kernels
-  gate_svc_throughput
-  gate_perfbench
+  run_gate run_ctest
+  run_gate gate_broker_smoke
+  run_gate gate_paper_benches
+  run_gate gate_kernels
+  run_gate gate_svc_throughput
+  run_gate gate_perfbench
 }
 
 leg_debug() {
   build_leg debug -DCMAKE_BUILD_TYPE=Debug -DHETERO_WERROR=ON
-  run_ctest
+  run_gate run_ctest
 }
 
 leg_asan() {
   build_leg asan -DCMAKE_BUILD_TYPE=RelWithDebInfo -DHETERO_SANITIZE=address
-  run_ctest
-  gate_faults
-  gate_svc_soak
-  gate_rebroker
-  gate_loadbalance
-  gate_proc_soak
-  gate_grid
+  run_gate run_ctest
+  run_gate gate_faults
+  run_gate gate_svc_soak
+  run_gate gate_rebroker
+  run_gate gate_loadbalance
+  run_gate gate_proc_soak
+  run_gate gate_grid
 }
 
 # TSan slows tests ~10x, so it runs the tests that exercise cross-thread
@@ -253,7 +274,7 @@ leg_asan() {
 # host-thread table in kernels_host_threads_test).
 leg_tsan() {
   build_leg tsan -DCMAKE_BUILD_TYPE=RelWithDebInfo -DHETERO_SANITIZE=thread
-  run_ctest -R '^(simmpi_test|resil_test|la_test|la_prop_test|kernels_diff_test|kernels_host_threads_test|obs_test|core_test|campaign_engine_test|rebroker_test|lb_test|svc_test|proc_test|grid_test)$'
+  run_gate run_ctest -R '^(simmpi_test|resil_test|la_test|la_prop_test|kernels_diff_test|kernels_host_threads_test|obs_test|core_test|campaign_engine_test|rebroker_test|lb_test|svc_test|proc_test|grid_test)$'
 }
 
 if [ "$#" -eq 0 ]; then
@@ -278,4 +299,10 @@ for leg in "$@"; do
   fi
 done
 
+if [ -n "$FAILED" ]; then
+  for gate in $FAILED; do
+    echo "ci: FAIL — gate $gate" >&2
+  done
+  exit 1
+fi
 echo "ci: all requested legs passed ($*)"

@@ -821,7 +821,7 @@ int main(int argc, char** argv) {
     std::cerr << "unknown command: " << command << "\n";
     return usage();
   } catch (const Error& e) {
-    std::cerr << e.what() << "\n";
+    std::cerr << "heterolab: " << e.what() << "\n";
     return 1;
   }
 }
