@@ -8,18 +8,16 @@
 // Unlike the virtual-clock phase timings of the figure benches, everything
 // here is host time: the platform models charge mode-independent compute
 // costs, so only a host-side measurement can see the overhaul. The process
-// pins itself to the CPU it starts on and reads the process CPU clock, and
-// every repetition times one reference and one fast run back to back, in
-// alternating order; a speedup is the median of those paired ratios, so a
-// host slowdown cancels within its pair instead of landing on one side.
+// pins itself to the allowed CPU with the fewest device interrupts and
+// reads the process CPU clock, and every repetition times one reference
+// and one fast run back to back, in alternating order; a speedup is the
+// median of those paired ratios, so a host slowdown cancels within its pair
+// instead of landing on one side.
 // FLOP/byte columns come from the obs kernel counters (la.kernel.*,
 // fem.kernel.assembly.*).
 //
 // `--json out.jsonl` emits heterolab-bench-v1 records gated in CI against
 // bench/baselines/kernels.json (the speedup floors).
-
-#include <sched.h>
-#include <time.h>
 
 #include <algorithm>
 #include <cmath>
@@ -46,34 +44,6 @@
 namespace {
 
 using namespace hetero;
-
-/// CPU time of the whole process (every thread). Pinned to one CPU, this
-/// is the time the kernels ran, minus what other guests stole.
-double cpu_s() {
-  timespec ts{};
-  ::clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
-  return static_cast<double>(ts.tv_sec) + static_cast<double>(ts.tv_nsec) * 1e-9;
-}
-
-/// Pins the process to the CPU it is running on; threads started later
-/// (simmpi's rank-fiber hosts) inherit the mask.
-void pin_to_current_cpu() {
-#ifdef __linux__
-  const int cpu = ::sched_getcpu();
-  if (cpu >= 0) {
-    cpu_set_t set;
-    CPU_ZERO(&set);
-    CPU_SET(cpu, &set);
-    ::sched_setaffinity(0, sizeof(set), &set);
-  }
-#endif
-}
-
-double median(std::vector<double> v) {
-  std::sort(v.begin(), v.end());
-  const std::size_t n = v.size();
-  return n % 2 == 1 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
-}
 
 /// Medians of `reps` paired reference/fast timings of `body`, and the
 /// median of the per-pair ref/fast ratios.
@@ -106,7 +76,7 @@ Paired paired_modes(int reps, F&& body) {
     fast.push_back(t[1]);
     ratio.push_back(t[0] / t[1]);
   }
-  return {median(ref), median(fast), median(ratio)};
+  return {bench::median(ref), bench::median(fast), bench::median(ratio)};
 }
 
 /// paired_modes over a body that measures nothing itself: each run is
@@ -114,9 +84,9 @@ Paired paired_modes(int reps, F&& body) {
 template <class F>
 Paired paired_cpu(int reps, F&& body) {
   return paired_modes(reps, [&] {
-    const double t0 = cpu_s();
+    const double t0 = bench::process_cpu_s();
     body();
-    return cpu_s() - t0;
+    return bench::process_cpu_s() - t0;
   });
 }
 
@@ -311,11 +281,11 @@ double rd_step_host_s(int ranks, int axis, int steps) {
   runtime->run([&](simmpi::Comm& comm) {
     apps::RdSolver solver(comm, config);
     comm.barrier();
-    const double t0 = cpu_s();
+    const double t0 = bench::process_cpu_s();
     solver.run(steps);
     comm.barrier();
     if (comm.rank() == 0) {
-      elapsed = cpu_s() - t0;
+      elapsed = bench::process_cpu_s() - t0;
     }
   });
   return elapsed / steps;
@@ -348,7 +318,8 @@ int main(int argc, char** argv) {
   const CliArgs args(argc, argv);
   bench::BenchOutput out(args, "kernels");
 
-  pin_to_current_cpu();
+  // Before any thread starts: simmpi's rank-fiber hosts inherit the mask.
+  bench::pin_to_quietest_cpu();
   std::cout << "# Hot-path kernel microbenchmarks (process CPU time on one "
                "CPU, median of paired reference/fast runs)\n\n";
   bench_spmv(out, args);

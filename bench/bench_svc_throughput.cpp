@@ -1,18 +1,24 @@
 // Throughput of the advisory daemon's pipe transport: a 10k-request
 // stream with a bounded number of unique requests, answered cold (fresh
 // memo store, every unique request priced through the broker) and then
-// warm (same store, new process — every answer replayed from the log).
+// warm (same store, new service — every answer replayed from the log).
 // The paper's broker is only useful as a *service* if repeated sweeps are
 // cheap, so CI gates warm_speedup >= 5x and byte-identical replay.
 //
-//   bench_svc_throughput [--requests N] [--unique U] [--queue Q]
-//                        [--workers W] [--seed S] [--csv] [--json OUT]
+// The process pins itself to the allowed CPU with the fewest device
+// interrupts and times each run on the process CPU clock. It runs a fixed
+// number of cold->warm pairs, each on a fresh store, and reports the
+// median of the per-pair cold/warm ratios, so a host slowdown cancels
+// within its pair instead of landing on one side.
+//
+//   bench_svc_throughput [--requests N] [--unique U] [--seed S] [--csv]
+//                        [--json OUT]
 
-#include <chrono>
 #include <cstdio>
 #include <sstream>
 #include <string>
 #include <unistd.h>
+#include <vector>
 
 #include "bench_main.hpp"
 #include "support/error.hpp"
@@ -48,30 +54,28 @@ std::string make_requests(int total, int unique) {
   return out;
 }
 
+/// Cold->warm pairs per run; odd, so the median is one pair's ratio.
+constexpr int kPairs = 9;
+
 struct RunResult {
   std::string output;
-  double wall_s = 0.0;
+  double cpu_s = 0.0;
   std::uint64_t served = 0;
 };
 
 RunResult run_stream(const std::string& requests, const std::string& store,
-                     std::uint64_t seed, int workers, std::size_t queue) {
+                     std::uint64_t seed) {
   svc::ServiceOptions options;
   options.seed = seed;
-  options.jobs = 0;  // resolve to HETEROLAB_JOBS / hardware width
+  options.jobs = 1;  // the process has one CPU
   options.store_path = store;
   svc::Service service(options);
-  svc::ServeOptions serve_options;
-  serve_options.queue_capacity = queue;
-  serve_options.workers = workers;
   std::istringstream in(requests);
   std::ostringstream out;
-  const auto started = std::chrono::steady_clock::now();
-  const auto stats = svc::serve_pipe(service, in, out, serve_options);
+  const double started = bench::process_cpu_s();
+  const auto stats = svc::serve_pipe(service, in, out);
   RunResult r;
-  r.wall_s = std::chrono::duration<double>(
-                 std::chrono::steady_clock::now() - started)
-                 .count();
+  r.cpu_s = bench::process_cpu_s() - started;
   r.output = out.str();
   r.served = stats.served;
   return r;
@@ -83,51 +87,66 @@ int main(int argc, char** argv) {
   using namespace hetero;
   try {
     const CliArgs args(argc, argv);
+    bench::pin_to_quietest_cpu();
     bench::BenchOutput output(args, "svc_throughput");
-    const int total = static_cast<int>(args.get_int("requests", 10000));
-    const int unique = static_cast<int>(args.get_int("unique", 250));
-    const int workers = static_cast<int>(args.get_int("workers", 1));
-    const auto queue =
-        static_cast<std::size_t>(args.get_int("queue", 16384));
+    const int total = args.get_int32("requests", 10000);
+    const int unique = args.get_int32("unique", 250);
     const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
     HETERO_REQUIRE(total > 0 && unique > 0 && unique <= total,
                    "need 0 < --unique <= --requests");
 
     const std::string store =
         "/tmp/bench_svc_throughput_" + std::to_string(::getpid()) + ".log";
-    std::remove(store.c_str());
     const std::string requests = make_requests(total, unique);
 
-    const RunResult cold = run_stream(requests, store, seed, workers, queue);
-    const RunResult warm = run_stream(requests, store, seed, workers, queue);
+    std::vector<double> cold_s, warm_s, ratio;
+    std::uint64_t served[2] = {0, 0};
+    std::string first_output;
+    bool identical = true;
+    for (int pair = 0; pair < kPairs; ++pair) {
+      std::remove(store.c_str());
+      const RunResult cold = run_stream(requests, store, seed);
+      const RunResult warm = run_stream(requests, store, seed);
+      if (pair == 0) {
+        first_output = cold.output;
+        served[0] = cold.served;
+        served[1] = warm.served;
+      }
+      identical = identical && cold.output == first_output &&
+                  warm.output == first_output;
+      cold_s.push_back(cold.cpu_s);
+      warm_s.push_back(warm.cpu_s);
+      ratio.push_back(cold.cpu_s / warm.cpu_s);
+    }
     std::remove(store.c_str());
+    const double speedup = bench::median(ratio);
 
-    const bool identical = cold.output == warm.output;
-    const double speedup =
-        warm.wall_s > 0.0 ? cold.wall_s / warm.wall_s : 0.0;
-
-    Table table({"mode", "requests", "unique", "served", "wall[s]", "rps"});
-    const auto row = [&](const char* mode, const RunResult& r) {
+    Table table({"mode", "requests", "unique", "served", "cpu[s]", "rps"});
+    const auto row = [&](const char* mode, std::uint64_t n,
+                         const std::vector<double>& s) {
+      const double cpu = bench::median(s);
       table.add_row({mode, std::to_string(total), std::to_string(unique),
-                     std::to_string(r.served), fmt_double(r.wall_s, 3),
-                     fmt_double(static_cast<double>(total) / r.wall_s, 0)});
+                     std::to_string(n), fmt_double(cpu, 3),
+                     fmt_double(static_cast<double>(total) / cpu, 0)});
     };
-    row("cold", cold);
-    row("warm", warm);
+    row("cold", served[0], cold_s);
+    row("warm", served[1], warm_s);
     output.emit(table, "pipe");
 
     obs::Json summary = obs::Json::object();
     summary.set("series", "summary");
     summary.set("requests", total);
     summary.set("unique", unique);
+    summary.set("pairs", kPairs);
     summary.set("warm_speedup", speedup);
     summary.set("identical", identical ? 1 : 0);
-    summary.set("cold_wall_s", cold.wall_s);
-    summary.set("warm_wall_s", warm.wall_s);
+    summary.set("cold_cpu_s", bench::median(cold_s));
+    summary.set("warm_cpu_s", bench::median(warm_s));
     output.record(std::move(summary));
 
     std::cout << "\nwarm speedup  " << fmt_double(speedup, 2)
-              << "x, replay " << (identical ? "byte-identical" : "DIFFERS")
+              << "x (median of " << kPairs << " pairs, process CPU time), "
+              << "replay " << (identical ? "byte-identical" : "DIFFERS")
               << "\n";
     return identical ? 0 : 1;
   } catch (const Error& e) {

@@ -8,20 +8,6 @@
 
 namespace hetero::broker {
 
-std::string to_string(Ec2Strategy strategy) {
-  switch (strategy) {
-    case Ec2Strategy::kNone:
-      return "fixed";
-    case Ec2Strategy::kOnDemand:
-      return "on-demand";
-    case Ec2Strategy::kSpotMix:
-      return "spot-mix";
-    case Ec2Strategy::kSpotCampaign:
-      return "spot-campaign";
-  }
-  return "?";
-}
-
 std::string Candidate::label() const {
   std::string s = platform;
   if (strategy == Ec2Strategy::kSpotMix) {

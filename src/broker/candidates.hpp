@@ -19,8 +19,6 @@ namespace hetero::broker {
 /// How an EC2 assembly is acquired; kNone for the fixed platforms.
 enum class Ec2Strategy { kNone, kOnDemand, kSpotMix, kSpotCampaign };
 
-std::string to_string(Ec2Strategy strategy);
-
 struct Candidate {
   std::string platform;
   int ranks = 1;

@@ -57,8 +57,4 @@ std::string rejection_reason(const Prediction& prediction,
   return reasons;
 }
 
-bool is_feasible(const Prediction& prediction, const JobRequest& request) {
-  return rejection_reason(prediction, request).empty();
-}
-
 }  // namespace hetero::broker

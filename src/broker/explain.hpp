@@ -17,7 +17,4 @@ namespace hetero::broker {
 std::string rejection_reason(const Prediction& prediction,
                              const JobRequest& request);
 
-/// Convenience: rejection_reason(...).empty().
-bool is_feasible(const Prediction& prediction, const JobRequest& request);
-
 }  // namespace hetero::broker

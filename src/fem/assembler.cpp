@@ -233,33 +233,6 @@ void ElementKernel::mass_stiffness_load(std::size_t t, const SpatialFn& f,
       8.0 * (2.0 * nn * nn + nn));
 }
 
-void ElementKernel::deriv(std::size_t t, int axis,
-                          std::span<double> out) const {
-  const int n = table_->dofs;
-  HETERO_REQUIRE(static_cast<int>(out.size()) == n * n,
-                 "deriv: output span size mismatch");
-  HETERO_REQUIRE(axis >= 0 && axis < 3, "deriv: axis must be 0, 1 or 2");
-  const auto& geo = geometry(t);
-  std::fill(out.begin(), out.end(), 0.0);
-  const std::size_t nq = table_->points.size();
-  for (std::size_t q = 0; q < nq; ++q) {
-    const double w = table_->points[q].weight * geo.det;
-    const auto& phi = table_->values[q];
-    for (int j = 0; j < n; ++j) {
-      const mesh::Vec3 g =
-          geo.physical_grad(table_->grads[q][static_cast<std::size_t>(j)]);
-      const double gj = axis == 0 ? g.x : axis == 1 ? g.y : g.z;
-      for (int i = 0; i < n; ++i) {
-        out[static_cast<std::size_t>(i * n + j)] +=
-            w * phi[static_cast<std::size_t>(i)] * gj;
-      }
-    }
-  }
-  const auto nn = static_cast<double>(n);
-  fem_work().add(static_cast<double>(nq) * (1.0 + 15.0 * nn + 3.0 * nn * nn),
-                 8.0 * nn * nn);
-}
-
 void ElementKernel::quad_points(std::size_t t,
                                 std::span<mesh::Vec3> out) const {
   HETERO_REQUIRE(out.size() == table_->points.size(),

@@ -101,10 +101,6 @@ class ElementKernel {
                            std::span<double> mout, std::span<double> kout,
                            std::span<double> fout) const;
 
-  /// out(i,j) = sum_q w |J| phi_i  d(phi_j)/d(x_axis) — the pressure
-  /// gradient / divergence coupling blocks of mixed formulations.
-  void deriv(std::size_t t, int axis, std::span<double> out) const;
-
   /// Physical coordinates of the quadrature points of tet `t`.
   void quad_points(std::size_t t, std::span<mesh::Vec3> out) const;
 

@@ -27,34 +27,6 @@ DirichletData make_dirichlet(simmpi::Comm& comm, const FeSpace& space,
   return bc;
 }
 
-DirichletData make_dirichlet_block(
-    simmpi::Comm& comm, const FeSpace& space, const la::IndexMap& map,
-    const la::HaloExchange& halo, int ncomp,
-    const BoundaryPredicate& on_boundary,
-    const std::function<bool(const mesh::Vec3&, int)>& constrained_comp,
-    const std::function<double(const mesh::Vec3&, int)>& g_comp) {
-  DirichletData bc(map);
-  for (int d = 0; d < space.local_dof_count(); ++d) {
-    const mesh::Vec3& x = space.dof_coord(d);
-    if (!on_boundary(x)) {
-      continue;
-    }
-    for (int c = 0; c < ncomp; ++c) {
-      const int l = map.local(FeSpace::block_gid(space.dof_gid(d), c, ncomp));
-      if (l == la::kInvalidLocal || !map.is_owned_local(l)) {
-        continue;
-      }
-      if (constrained_comp(x, c)) {
-        bc.flags[l] = 1.0;
-        bc.values[l] = g_comp(x, c);
-      }
-    }
-  }
-  bc.flags.update_ghosts(comm, halo);
-  bc.values.update_ghosts(comm, halo);
-  return bc;
-}
-
 DirichletPlan::DirichletPlan(simmpi::Comm& comm, const FeSpace& space,
                              const la::IndexMap& map,
                              const la::HaloExchange& halo,
@@ -70,31 +42,6 @@ DirichletPlan::DirichletPlan(simmpi::Comm& comm, const FeSpace& space,
     if (on_boundary(x)) {
       data_.flags[l] = 1.0;
       entries_.push_back(Entry{l, 0, x});
-    }
-  }
-  data_.flags.update_ghosts(comm, halo);
-}
-
-DirichletPlan::DirichletPlan(
-    simmpi::Comm& comm, const FeSpace& space, const la::IndexMap& map,
-    const la::HaloExchange& halo, int ncomp,
-    const BoundaryPredicate& on_boundary,
-    const std::function<bool(const mesh::Vec3&, int)>& constrained_comp)
-    : data_(map) {
-  for (int d = 0; d < space.local_dof_count(); ++d) {
-    const mesh::Vec3& x = space.dof_coord(d);
-    if (!on_boundary(x)) {
-      continue;
-    }
-    for (int c = 0; c < ncomp; ++c) {
-      const int l = map.local(FeSpace::block_gid(space.dof_gid(d), c, ncomp));
-      if (l == la::kInvalidLocal || !map.is_owned_local(l)) {
-        continue;
-      }
-      if (constrained_comp(x, c)) {
-        data_.flags[l] = 1.0;
-        entries_.push_back(Entry{l, c, x});
-      }
     }
   }
   data_.flags.update_ghosts(comm, halo);

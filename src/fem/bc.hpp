@@ -43,16 +43,6 @@ DirichletData make_dirichlet(simmpi::Comm& comm, const FeSpace& space,
                              const BoundaryPredicate& on_boundary,
                              const BoundaryValueFn& g);
 
-/// Same for a block system of `ncomp` components: `g_comp(coord, c)` gives
-/// the value of component c; `constrained_comp(coord, c)` selects which
-/// components are constrained at a boundary location.
-DirichletData make_dirichlet_block(
-    simmpi::Comm& comm, const FeSpace& space, const la::IndexMap& map,
-    const la::HaloExchange& halo, int ncomp,
-    const BoundaryPredicate& on_boundary,
-    const std::function<bool(const mesh::Vec3&, int)>& constrained_comp,
-    const std::function<double(const mesh::Vec3&, int)>& g_comp);
-
 /// Applies symmetric elimination to the assembled system in place and sets
 /// the constrained entries of `x` (initial guess) to the boundary values.
 void apply_dirichlet(la::DistCsrMatrix& a, la::DistVector& rhs,
@@ -74,13 +64,6 @@ class DirichletPlan {
   DirichletPlan(simmpi::Comm& comm, const FeSpace& space,
                 const la::IndexMap& map, const la::HaloExchange& halo,
                 const BoundaryPredicate& on_boundary);
-
-  /// Block variant for `ncomp`-component systems.
-  DirichletPlan(
-      simmpi::Comm& comm, const FeSpace& space, const la::IndexMap& map,
-      const la::HaloExchange& halo, int ncomp,
-      const BoundaryPredicate& on_boundary,
-      const std::function<bool(const mesh::Vec3&, int)>& constrained_comp);
 
   /// Caller-driven variant for composite constraint sets spanning several
   /// spaces over one map (the NS velocity-wall + pressure-pin case):
@@ -114,7 +97,7 @@ class DirichletPlan {
  private:
   struct Entry {
     int lid = 0;   // owned local index in the IndexMap
-    int comp = 0;  // component (block variant; 0 for scalar)
+    int comp = 0;  // component (composite sets; 0 for scalar)
     mesh::Vec3 coord;
   };
 

@@ -12,10 +12,6 @@ DistCsrMatrix::DistCsrMatrix(const IndexMap& map, const HaloExchange& halo,
                  "local block shape must be owned x local");
 }
 
-std::int64_t DistCsrMatrix::global_nonzeros(simmpi::Comm& comm) const {
-  return comm.allreduce(local_.nonzeros(), simmpi::ReduceOp::kSum);
-}
-
 void DistCsrMatrix::multiply(simmpi::Comm& comm, DistVector& x,
                              DistVector& y) const {
   x.update_ghosts(comm, *halo_);

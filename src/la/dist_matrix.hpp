@@ -25,8 +25,6 @@ class DistCsrMatrix {
   const CsrMatrix& local() const { return local_; }
   CsrMatrix& local_mut() { return local_; }
 
-  std::int64_t global_nonzeros(simmpi::Comm& comm) const;
-
   /// y = A x; refreshes x's ghosts first. Collective.
   void multiply(simmpi::Comm& comm, DistVector& x, DistVector& y) const;
 

@@ -24,11 +24,6 @@ const std::string& Json::as_string() const {
   return string_;
 }
 
-const JsonArray& Json::as_array() const {
-  HETERO_REQUIRE(type_ == Type::kArray, "Json: not an array");
-  return array_;
-}
-
 const std::vector<JsonMember>& Json::as_object() const {
   HETERO_REQUIRE(type_ == Type::kObject, "Json: not an object");
   return members_;
@@ -70,10 +65,6 @@ void Json::set(const std::string& key, Json value) {
 void Json::reserve(std::size_t members) {
   HETERO_REQUIRE(type_ == Type::kObject, "Json: reserve() on a non-object");
   members_.reserve(members);
-}
-
-bool Json::contains(const std::string& key) const {
-  return find(key) != nullptr;
 }
 
 const Json& Json::at(const std::string& key) const {

@@ -62,7 +62,6 @@ class Json {
   bool as_bool() const;
   double as_number() const;
   const std::string& as_string() const;
-  const JsonArray& as_array() const;
   const std::vector<JsonMember>& as_object() const;
 
   /// Array building / access.
@@ -75,7 +74,6 @@ class Json {
   /// Reserves room for `members` object members, for a caller that knows
   /// how many set() calls follow.
   void reserve(std::size_t members);
-  bool contains(const std::string& key) const;
   /// Member lookup; throws if absent.
   const Json& at(const std::string& key) const;
   /// Member lookup; returns nullptr if absent.

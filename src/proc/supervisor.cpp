@@ -591,10 +591,6 @@ void Supervisor::kill_workers() {
 
 int Supervisor::workers() const { return impl_->options.workers; }
 
-const std::string& Supervisor::shard_dir() const {
-  return impl_->options.shard_dir;
-}
-
 ProcStats Supervisor::stats() const {
   std::lock_guard<std::mutex> lock(impl_->stats_mutex);
   return impl_->stats;

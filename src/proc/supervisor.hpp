@@ -124,7 +124,6 @@ class Supervisor final : public core::BatchExecutor {
   void kill_workers();
 
   int workers() const;
-  const std::string& shard_dir() const;
   ProcStats stats() const;
 
  private:

@@ -3,7 +3,6 @@
 #include <signal.h>
 #include <unistd.h>
 
-#include <atomic>
 #include <cstdio>
 #include <map>
 #include <mutex>
@@ -16,7 +15,6 @@ namespace {
 std::mutex g_hooks_mutex;
 std::map<int, std::function<void()>> g_hooks;
 int g_next_token = 1;
-std::atomic<bool> g_shutdown_requested{false};
 
 const char* signal_name(int signo) {
   switch (signo) {
@@ -59,10 +57,6 @@ void remove_shutdown_hook(int token) {
   g_hooks.erase(token);
 }
 
-bool shutdown_requested() {
-  return g_shutdown_requested.load(std::memory_order_acquire);
-}
-
 namespace {
 
 struct Watcher {
@@ -89,7 +83,6 @@ void watcher_main() {
     if (signo == kStopSignal) {
       return;  // guard destructor: normal exit path
     }
-    g_shutdown_requested.store(true, std::memory_order_release);
     run_hooks_newest_first();
     std::fprintf(stderr,
                  "heterolab: interrupted by %s — flushed partial output, "

@@ -29,9 +29,6 @@ namespace hetero::support {
 int add_shutdown_hook(std::function<void()> hook);
 void remove_shutdown_hook(int token);
 
-/// True once a shutdown signal was observed (cooperative loops poll this).
-bool shutdown_requested();
-
 /// Installs the watcher. Construct once, early in main(), while the
 /// process is still single-threaded. Destruction stops the watcher and
 /// restores the signal mask.

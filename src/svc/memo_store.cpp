@@ -5,10 +5,6 @@
 
 namespace hetero::svc {
 
-std::uint64_t memo_checksum(const std::string& key, const std::string& value) {
-  return support::record_checksum(key, value);
-}
-
 MemoStore::MemoStore(std::string path)
     : path_(std::move(path)),
       log_(std::make_unique<support::RecordLog>(path_)) {

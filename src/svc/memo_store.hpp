@@ -112,8 +112,4 @@ class MemoStore {
   MemoStoreStats stats_;
 };
 
-/// Checksum of a record payload: chained splitmix64 over 8-byte chunks of
-/// key and value plus their lengths. Exposed for the corruption tests.
-std::uint64_t memo_checksum(const std::string& key, const std::string& value);
-
 }  // namespace hetero::svc

@@ -341,12 +341,6 @@ std::string render_error(std::int64_t id, const std::string& reason) {
   return j.dump();
 }
 
-std::string render_busy(std::int64_t id, std::size_t queue_depth) {
-  obs::Json j = stamp_final("busy", id);
-  j.set("queue_depth", static_cast<std::uint64_t>(queue_depth));
-  return j.dump();
-}
-
 std::string render_throttled(std::int64_t id, const std::string& client,
                              double need_tokens, double have_tokens) {
   obs::Json j = stamp_final("throttled", id);

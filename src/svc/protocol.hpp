@@ -12,10 +12,10 @@
 /// prediction, or an explained infeasibility) followed by one "frontier"
 /// record per point of the time/cost Pareto frontier — the response payload
 /// "Seeing Shapes in Clouds" argues for: the whole trade-off curve, not
-/// just a pick. Admission control and budgets answer with "busy" /
-/// "throttled" records; malformed lines with "error"; "ping" with "pong";
-/// end of stream (or a "shutdown" request) with a final "bye" record after
-/// the queue drains. Response ids are monotone in request order
+/// just a pick. Client budgets answer with "throttled" records; malformed
+/// lines and requests that cannot be priced with "error"; "ping" with
+/// "pong"; end of stream (or a "shutdown" request) with a final "bye"
+/// record. Response ids are monotone in request order
 /// (tools/check_bench.py --schema svc validates exactly this contract).
 ///
 /// The same parser backs the one-shot batch path (`heterolab broker
@@ -117,7 +117,6 @@ std::string finalize_line(const std::string& line, std::int64_t id);
 /// Non-cacheable records, rendered with their final id directly.
 /// `id` < 0 serializes as null (a line too malformed to carry an id).
 std::string render_error(std::int64_t id, const std::string& reason);
-std::string render_busy(std::int64_t id, std::size_t queue_depth);
 std::string render_throttled(std::int64_t id, const std::string& client,
                              double need_tokens, double have_tokens);
 std::string render_pong(std::int64_t id);

@@ -6,324 +6,88 @@
 
 #include <atomic>
 #include <cerrno>
-#include <condition_variable>
 #include <cstring>
-#include <deque>
 #include <istream>
-#include <map>
+#include <list>
 #include <mutex>
 #include <ostream>
 #include <thread>
-#include <vector>
 
-#include "obs/metrics.hpp"
 #include "support/error.hpp"
 
 namespace hetero::svc {
 
 namespace {
 
-/// Responses leave in admission order no matter which worker finishes
-/// first: emit(seq, ...) buffers out-of-order payloads and flushes the
-/// contiguous prefix. Every admitted seq must be emitted exactly once
-/// (an empty payload releases the slot).
-class OrderedEmitter {
- public:
-  explicit OrderedEmitter(std::ostream& out) : out_(out) {}
-
-  void emit(std::uint64_t seq, std::vector<std::string> lines) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    pending_.emplace(seq, std::move(lines));
-    while (!pending_.empty() && pending_.begin()->first == next_) {
-      for (const auto& line : pending_.begin()->second) {
-        out_ << line << '\n';
-      }
-      pending_.erase(pending_.begin());
-      ++next_;
-    }
-    out_.flush();
-  }
-
- private:
-  std::ostream& out_;
-  std::mutex mutex_;
-  std::uint64_t next_ = 0;
-  std::map<std::uint64_t, std::vector<std::string>> pending_;
-};
-
-struct WorkItem {
-  std::uint64_t seq = 0;
-  SvcRequest request;
-};
-
-/// Bounded MPMC queue between the admitting reader and the workers.
-class WorkQueue {
- public:
-  explicit WorkQueue(std::size_t capacity)
-      : capacity_(capacity == 0 ? 1 : capacity),
-        depth_gauge_(obs::metrics().gauge("svc.queue_depth")) {}
-
-  /// False when the queue is full (caller decides: busy-reject or retry
-  /// via push_blocking).
-  bool try_push(WorkItem item) {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (items_.size() >= capacity_) {
-        return false;
-      }
-      items_.push_back(std::move(item));
-      depth_gauge_.set(static_cast<double>(items_.size()));
-    }
-    not_empty_.notify_one();
-    return true;
-  }
-
-  void push_blocking(WorkItem item) {
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      not_full_.wait(lock, [&] { return items_.size() < capacity_; });
-      items_.push_back(std::move(item));
-      depth_gauge_.set(static_cast<double>(items_.size()));
-    }
-    not_empty_.notify_one();
-  }
-
-  /// False on a drained, closed queue (worker shutdown signal).
-  bool pop(WorkItem& item) {
-    std::unique_lock<std::mutex> lock(mutex_);
-    not_empty_.wait(lock, [&] { return closed_ || !items_.empty(); });
-    if (items_.empty()) {
-      return false;
-    }
-    item = std::move(items_.front());
-    items_.pop_front();
-    depth_gauge_.set(static_cast<double>(items_.size()));
-    not_full_.notify_one();
-    return true;
-  }
-
-  void close() {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      closed_ = true;
-    }
-    not_empty_.notify_all();
-  }
-
-  std::size_t depth() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return items_.size();
-  }
-
- private:
-  const std::size_t capacity_;
-  obs::Gauge& depth_gauge_;
-  mutable std::mutex mutex_;
-  std::condition_variable not_empty_;
-  std::condition_variable not_full_;
-  std::deque<WorkItem> items_;
-  bool closed_ = false;
-};
-
-}  // namespace
-
-ServeStats serve_pipe(Service& service, std::istream& in, std::ostream& out,
-                      const ServeOptions& options) {
-  ServeStats stats;
-  OrderedEmitter emitter(out);
-  WorkQueue queue(options.queue_capacity);
-  std::atomic<std::uint64_t> served{0};
-
-  const int workers = options.workers < 1 ? 1 : options.workers;
-  std::vector<std::thread> pool;
-  pool.reserve(static_cast<std::size_t>(workers));
-  for (int w = 0; w < workers; ++w) {
-    pool.emplace_back([&] {
-      WorkItem item;
-      while (queue.pop(item)) {
-        std::vector<std::string> lines;
-        try {
-          lines = service.process(item.request);
-        } catch (const Error& e) {
-          lines.push_back(render_error(item.request.id, e.what()));
-        } catch (const std::exception& e) {
-          // bad_alloc, system_error, ...: still render an answer so the
-          // seq slot is released (a swallowed slot stalls the emitter)
-          // and an escaping exception doesn't terminate the daemon.
-          lines.push_back(render_error(item.request.id, e.what()));
-        }
-        served.fetch_add(1, std::memory_order_relaxed);
-        emitter.emit(item.seq, std::move(lines));
-      }
-    });
-  }
-
-  std::uint64_t seq = 0;
+/// The request loop of every transport: answers each line `read_line`
+/// yields until it runs dry or a "shutdown" request arrives, tallies the
+/// answer in `stats`, hands its text to `write`, and ends with the "bye"
+/// record. True when a shutdown request ended it.
+template <class ReadLine, class Write>
+bool serve_lines(Service& service, ServeStats& stats, ReadLine read_line,
+                 Write write) {
   std::string line;
-  while (std::getline(in, line)) {
+  bool shutdown = false;
+  while (!shutdown && read_line(line)) {
     if (line.find_first_not_of(" \t\r") == std::string::npos) {
       continue;
     }
-    SvcRequest request;
-    try {
-      request = parse_request_line(line);
-    } catch (const Error& e) {
-      ++stats.errors;
-      obs::metrics().counter("svc.errors").increment();
-      emitter.emit(seq++, {render_error(-1, e.what())});
-      continue;
+    const Answer answer = service.answer(line);
+    switch (answer.kind) {
+      case Answer::Kind::kDecision:
+        ++stats.served;
+        break;
+      case Answer::Kind::kPong:
+        ++stats.pings;
+        break;
+      case Answer::Kind::kError:
+        ++stats.errors;
+        break;
+      case Answer::Kind::kThrottled:
+        ++stats.throttled;
+        break;
+      case Answer::Kind::kShutdown:
+        shutdown = true;
+        break;
     }
-    if (request.kind == SvcRequest::Kind::kPing) {
-      ++stats.pings;
-      obs::metrics().counter("svc.pings").increment();
-      emitter.emit(seq++, {render_pong(request.id)});
-      continue;
+    std::string text;
+    for (const auto& out : answer.lines) {
+      text += out;
+      text.push_back('\n');
     }
-    if (request.kind == SvcRequest::Kind::kShutdown) {
-      break;  // graceful drain below, exactly like EOF
-    }
-    // Budget admission happens here, on the reader, in arrival order —
-    // the verdict depends only on the request stream, never on worker
-    // timing, so replays are byte-identical.
-    BudgetVerdict verdict;
-    try {
-      verdict = service.admit(request);
-    } catch (const std::exception& e) {
-      // A request can parse cleanly yet be un-priceable (iterations < 1,
-      // no problem size): pricing it for admission throws. Answer an
-      // error record like the socket path does — unwinding here would
-      // std::terminate on the still-joinable worker pool.
-      ++stats.errors;
-      obs::metrics().counter("svc.errors").increment();
-      emitter.emit(seq++, {render_error(request.id, e.what())});
-      continue;
-    }
-    if (!verdict.admitted) {
-      ++stats.throttled;
-      emitter.emit(seq++, {render_throttled(request.id, request.client,
-                                            verdict.need_tokens,
-                                            verdict.have_tokens)});
-      continue;
-    }
-    const std::int64_t request_id = request.id;
-    WorkItem item{seq, std::move(request)};
-    if (options.reject_when_full) {
-      if (!queue.try_push(std::move(item))) {
-        ++stats.busy;
-        obs::metrics().counter("svc.busy").increment();
-        emitter.emit(seq, {render_busy(request_id, queue.depth())});
-      }
-    } else {
-      queue.push_blocking(std::move(item));
-    }
-    ++seq;
+    write(text);
   }
+  write(render_bye(stats.served) + "\n");
+  return shutdown;
+}
 
-  queue.close();
-  for (auto& t : pool) {
-    t.join();
-  }
-  stats.served = served.load(std::memory_order_relaxed);
-  out << render_bye(stats.served) << '\n';
-  out.flush();
+}  // namespace
+
+ServeStats serve_pipe(Service& service, std::istream& in, std::ostream& out) {
+  ServeStats stats;
+  serve_lines(
+      service, stats,
+      [&](std::string& line) { return static_cast<bool>(std::getline(in, line)); },
+      [&](const std::string& text) { out << text << std::flush; });
   service.store().flush();
   return stats;
 }
 
 namespace {
 
-/// One connected client: buffered line reads straight off the fd, every
-/// request answered synchronously on this connection's thread.
+/// One accepted client as a line source and sink; closes the fd.
 class Connection {
  public:
-  Connection(int fd, Service& service, const ServeOptions& options,
-             std::atomic<int>& inflight, ServeStats& stats,
-             std::mutex& stats_mutex, std::atomic<bool>& stopping)
-      : fd_(fd),
-        service_(service),
-        options_(options),
-        inflight_(inflight),
-        stats_(stats),
-        stats_mutex_(stats_mutex),
-        stopping_(stopping) {}
-
-  /// True when this connection asked the whole server to shut down.
-  bool run() {
-    std::string line;
-    bool shutdown = false;
-    std::uint64_t served = 0;
-    while (!shutdown && read_line(line)) {
-      if (line.find_first_not_of(" \t\r") == std::string::npos) {
-        continue;
-      }
-      // Global in-flight cap = admission control across connections.
-      const int depth = inflight_.fetch_add(1, std::memory_order_acq_rel);
-      if (options_.reject_when_full &&
-          depth >= static_cast<int>(options_.queue_capacity)) {
-        inflight_.fetch_sub(1, std::memory_order_acq_rel);
-        std::int64_t id = -1;
-        try {
-          id = parse_request_line(line).id;
-        } catch (const Error&) {
-        }
-        bump([](ServeStats& s) { ++s.busy; });
-        write_lines({render_busy(id, static_cast<std::size_t>(depth))});
-        continue;
-      }
-      bool is_shutdown = false;
-      std::vector<std::string> lines;
-      try {
-        lines = service_.process_line(line, &is_shutdown);
-      } catch (const Error& e) {
-        lines.push_back(render_error(-1, e.what()));
-      } catch (const std::exception& e) {
-        // Same fallback as the pipe workers: any escaping exception
-        // would unwind the connection thread and terminate the daemon.
-        lines.push_back(render_error(-1, e.what()));
-      }
-      inflight_.fetch_sub(1, std::memory_order_acq_rel);
-      if (is_shutdown) {
-        shutdown = true;
-        stopping_.store(true, std::memory_order_release);
-        break;
-      }
-      if (!lines.empty() && lines.front().find("\"type\":\"pong\"") !=
-                                std::string::npos) {
-        bump([](ServeStats& s) { ++s.pings; });
-      } else if (!lines.empty() &&
-                 lines.front().find("\"type\":\"error\"") !=
-                     std::string::npos) {
-        bump([](ServeStats& s) { ++s.errors; });
-      } else if (!lines.empty() &&
-                 lines.front().find("\"type\":\"throttled\"") !=
-                     std::string::npos) {
-        bump([](ServeStats& s) { ++s.throttled; });
-      } else if (!lines.empty()) {
-        ++served;
-      }
-      write_lines(lines);
-    }
-    bump([served](ServeStats& s) { s.served += served; });
-    // Every connection gets its own goodbye so clients can detect a
-    // graceful close; `served` is this connection's tally.
-    write_lines({render_bye(served)});
-    ::close(fd_);
-    return shutdown;
-  }
-
- private:
-  template <typename Fn>
-  void bump(Fn&& fn) {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    fn(stats_);
-  }
+  explicit Connection(int fd) : fd_(fd) {}
+  ~Connection() { ::close(fd_); }
+  Connection(const Connection&) = delete;
+  Connection& operator=(const Connection&) = delete;
 
   bool read_line(std::string& line) {
-    line.clear();
     for (;;) {
       const std::size_t nl = buffer_.find('\n');
       if (nl != std::string::npos) {
-        line = buffer_.substr(0, nl);
+        line.assign(buffer_, 0, nl);
         buffer_.erase(0, nl + 1);
         return true;
       }
@@ -333,29 +97,22 @@ class Connection {
         continue;  // a signal is not end-of-stream; keep the client
       }
       if (n <= 0) {
-        if (!buffer_.empty()) {
-          line.swap(buffer_);
-          return true;
-        }
-        return false;
+        line = std::move(buffer_);
+        buffer_.clear();
+        return !line.empty();  // a last line without its newline
       }
       buffer_.append(chunk, static_cast<std::size_t>(n));
     }
   }
 
-  void write_lines(const std::vector<std::string>& lines) {
-    std::string out;
-    for (const auto& line : lines) {
-      out += line;
-      out.push_back('\n');
-    }
+  void write(const std::string& text) {
     std::size_t written = 0;
-    while (written < out.size()) {
+    while (written < text.size()) {
       // MSG_NOSIGNAL: a peer that already hung up (the shutdown poke, a
       // client gone after `shutdown`) must yield EPIPE, not kill the
       // daemon with SIGPIPE.
-      const ssize_t n = ::send(fd_, out.data() + written,
-                               out.size() - written, MSG_NOSIGNAL);
+      const ssize_t n = ::send(fd_, text.data() + written,
+                               text.size() - written, MSG_NOSIGNAL);
       if (n < 0 && errno == EINTR) {
         continue;  // a signal mid-reply must not truncate the response
       }
@@ -366,20 +123,14 @@ class Connection {
     }
   }
 
+ private:
   int fd_;
-  Service& service_;
-  const ServeOptions& options_;
-  std::atomic<int>& inflight_;
-  ServeStats& stats_;
-  std::mutex& stats_mutex_;
-  std::atomic<bool>& stopping_;
   std::string buffer_;
 };
 
 }  // namespace
 
-ServeStats serve_unix_socket(Service& service, const std::string& path,
-                             const ServeOptions& options) {
+ServeStats serve_unix_socket(Service& service, const std::string& path) {
   HETERO_REQUIRE(!path.empty(), "svc: socket path must be non-empty");
   sockaddr_un addr{};
   addr.sun_family = AF_UNIX;
@@ -398,25 +149,49 @@ ServeStats serve_unix_socket(Service& service, const std::string& path,
 
   ServeStats stats;
   std::mutex stats_mutex;
-  std::atomic<int> inflight{0};
   std::atomic<bool> stopping{false};
-  std::vector<std::thread> connections;
+  struct Live {
+    std::thread thread;
+    std::atomic<bool> done{false};
+  };
+  std::list<Live> connections;
 
   while (!stopping.load(std::memory_order_acquire)) {
     const int fd = ::accept(listen_fd, nullptr, nullptr);
     if (fd < 0) {
-      if (stopping.load(std::memory_order_acquire)) {
-        break;
-      }
-      if (errno == EINTR) {
+      if (errno == EINTR && !stopping.load(std::memory_order_acquire)) {
         continue;
       }
       break;
     }
-    connections.emplace_back([&, fd] {
-      Connection conn(fd, service, options, inflight, stats, stats_mutex,
-                      stopping);
-      if (conn.run()) {
+    // A finished thread keeps its stack mapped until it is joined.
+    connections.remove_if([](Live& c) {
+      if (!c.done.load(std::memory_order_acquire)) {
+        return false;
+      }
+      c.thread.join();
+      return true;
+    });
+    Live* live = &connections.emplace_back();
+    live->thread = std::thread([&, fd, live] {
+      ServeStats mine;
+      bool shutdown = false;
+      {
+        Connection conn(fd);
+        shutdown = serve_lines(
+            service, mine,
+            [&](std::string& line) { return conn.read_line(line); },
+            [&](const std::string& text) { conn.write(text); });
+      }
+      {
+        std::lock_guard<std::mutex> lock(stats_mutex);
+        stats.served += mine.served;
+        stats.pings += mine.pings;
+        stats.errors += mine.errors;
+        stats.throttled += mine.throttled;
+      }
+      if (shutdown) {
+        stopping.store(true, std::memory_order_release);
         // Unblock the accept() so the server notices the shutdown: a
         // no-op connection to our own socket.
         const int poke = ::socket(AF_UNIX, SOCK_STREAM, 0);
@@ -426,13 +201,14 @@ ServeStats serve_unix_socket(Service& service, const std::string& path,
           ::close(poke);
         }
       }
+      live->done.store(true, std::memory_order_release);
     });
   }
 
   ::close(listen_fd);
   ::unlink(path.c_str());
-  for (auto& t : connections) {
-    t.join();
+  for (auto& c : connections) {
+    c.thread.join();
   }
   service.store().flush();
   return stats;

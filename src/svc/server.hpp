@@ -1,23 +1,23 @@
 #pragma once
 
 /// \file server.hpp
-/// Transports for the advisory daemon. Two modes, one protocol:
+/// Transports for the advisory daemon: one request loop over two kinds of
+/// byte stream. The loop reads a line, has the Service answer it, tallies
+/// the kind of record the answer is, and writes and flushes the answer
+/// before it reads the next line, so responses leave in request order and
+/// a warm re-run is byte-comparable to a cold one.
 ///
-///   * pipe mode — `heterolab serve < requests.jsonl > answers.jsonl`:
-///     a reader thread admits lines into a bounded queue (blocking the
-///     pipe for backpressure, or answering "busy" records in reject
-///     mode), worker threads answer through the shared Service, and an
-///     ordered emitter writes responses strictly in admission order — so
-///     response ids are monotone and a warm re-run is byte-comparable to
-///     a cold one.
+///   * pipe mode — `heterolab serve < requests.jsonl > answers.jsonl`, and
+///     `heterolab broker --requests FILE.jsonl`: the loop runs over the
+///     stream pair.
 ///   * Unix-domain-socket mode — `heterolab serve --socket PATH`: one
-///     thread per connection, all connections sharing the Service (and
-///     therefore the engine cache, the persistent memo store, and its
-///     in-flight dedup), with a global in-flight cap as admission
-///     control. A "shutdown" request stops the accept loop and drains.
+///     thread per connection runs the loop over it, all connections sharing
+///     the Service (and therefore the engine cache, the persistent memo
+///     store, and its in-flight dedup). A "shutdown" request stops the
+///     accept loop; the open connections are served to their end.
 ///
-/// End of input (pipe EOF or a "shutdown" record) always drains the queue
-/// before the final "bye" record: graceful drain, never dropped work.
+/// End of input or a "shutdown" request ends a loop with a final "bye"
+/// record (one per connection on the socket).
 
 #include <cstdint>
 #include <iosfwd>
@@ -27,36 +27,21 @@
 
 namespace hetero::svc {
 
-struct ServeOptions {
-  /// Jobs admitted but not yet answered (the bounded queue).
-  std::size_t queue_capacity = 1024;
-  /// Queue-full policy: false blocks the reader (pipe backpressure; keeps
-  /// the response stream deterministic), true answers a "busy" record.
-  bool reject_when_full = false;
-  /// Worker threads answering queued requests. Each recommendation
-  /// already fans out over the engine's pool, so 1 is the deterministic
-  /// default; more workers overlap distinct requests and rely on the
-  /// store's in-flight dedup for duplicates.
-  int workers = 1;
-};
-
 struct ServeStats {
-  std::uint64_t served = 0;     ///< Job requests answered (decision records).
+  std::uint64_t served = 0;     ///< Decision (and rebroker) answers.
   std::uint64_t pings = 0;
-  std::uint64_t errors = 0;     ///< Malformed lines answered with "error".
-  std::uint64_t busy = 0;       ///< Admission rejections (reject mode).
+  std::uint64_t errors = 0;     ///< Malformed or unpriceable requests.
   std::uint64_t throttled = 0;  ///< Budget rejections.
 };
 
 /// Runs the line protocol over a stream pair until EOF or a "shutdown"
-/// request, drains, emits the final "bye" record, and returns the tallies.
-ServeStats serve_pipe(Service& service, std::istream& in, std::ostream& out,
-                      const ServeOptions& options = {});
+/// request, emits the final "bye" record, and returns the tallies.
+ServeStats serve_pipe(Service& service, std::istream& in, std::ostream& out);
 
 /// Binds a Unix-domain socket at `path` (replacing a stale one) and serves
-/// connections until a "shutdown" request arrives; drains and returns the
-/// tallies. Each connection speaks the same line protocol as pipe mode.
-ServeStats serve_unix_socket(Service& service, const std::string& path,
-                             const ServeOptions& options = {});
+/// connections until a "shutdown" request arrives; waits for the open
+/// connections and returns the tallies. Each connection speaks the same
+/// line protocol as pipe mode.
+ServeStats serve_unix_socket(Service& service, const std::string& path);
 
 }  // namespace hetero::svc

@@ -203,37 +203,37 @@ std::vector<std::string> Service::process(const SvcRequest& request) {
   return lines;
 }
 
-std::vector<std::string> Service::process_line(const std::string& line,
-                                               bool* is_shutdown) {
-  if (is_shutdown != nullptr) {
-    *is_shutdown = false;
-  }
-  SvcRequest request;
+Answer Service::answer(const std::string& line) {
+  std::int64_t id = -1;
   try {
-    request = parse_request_line(line);
-  } catch (const Error& e) {
+    const SvcRequest request = parse_request_line(line);
+    id = request.id;
+    switch (request.kind) {
+      case SvcRequest::Kind::kPing:
+        obs::metrics().counter("svc.pings").increment();
+        return {Answer::Kind::kPong, {render_pong(id)}};
+      case SvcRequest::Kind::kShutdown:
+        return {Answer::Kind::kShutdown, {}};
+      case SvcRequest::Kind::kJob:
+      case SvcRequest::Kind::kRebroker:
+        break;
+    }
+    const BudgetVerdict verdict = admit(request);
+    if (!verdict.admitted) {
+      return {Answer::Kind::kThrottled,
+              {render_throttled(id, request.client, verdict.need_tokens,
+                                verdict.have_tokens)}};
+    }
+    return {Answer::Kind::kDecision, process(request)};
+  } catch (const std::exception& e) {
+    // A daemon answers every line: bad_alloc and system_error included.
     obs::metrics().counter("svc.errors").increment();
-    return {render_error(-1, e.what())};
+    return {Answer::Kind::kError, {render_error(id, e.what())}};
   }
-  switch (request.kind) {
-    case SvcRequest::Kind::kPing:
-      obs::metrics().counter("svc.pings").increment();
-      return {render_pong(request.id)};
-    case SvcRequest::Kind::kShutdown:
-      if (is_shutdown != nullptr) {
-        *is_shutdown = true;
-      }
-      return {};
-    case SvcRequest::Kind::kJob:
-    case SvcRequest::Kind::kRebroker:
-      break;
-  }
-  const BudgetVerdict verdict = admit(request);
-  if (!verdict.admitted) {
-    return {render_throttled(request.id, request.client,
-                             verdict.need_tokens, verdict.have_tokens)};
-  }
-  return process(request);
+}
+
+std::vector<std::string> Service::process_line(const std::string& line) {
+  return answer(line).lines;
 }
 
 }  // namespace hetero::svc

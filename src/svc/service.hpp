@@ -16,14 +16,13 @@
 ///     restart still warm-starts from every experiment any earlier request
 ///     priced (incremental sweeps).
 ///
-/// Admission control (the bounded queue) lives in the transport layer
-/// (server.hpp); the Service supplies the deterministic per-client
-/// token-bucket budget check, priced in the engine's own simulated-thread
-/// units: a modeled candidate prediction weighs 1, so one request costs
-/// its candidate count. Buckets refill once per job request *observed*
-/// from that client (throttled attempts included) — never per wall-clock
-/// second — so budget verdicts replay identically across runs and a
-/// throttled client always recovers after finitely many retries.
+/// Admission control is the deterministic per-client token-bucket budget
+/// check, priced in the engine's own simulated-thread units: a modeled
+/// candidate prediction weighs 1, so one request costs its candidate
+/// count. Buckets refill once per job request *observed* from that client
+/// (throttled attempts included) — never per wall-clock second — so budget
+/// verdicts replay identically across runs and a throttled client always
+/// recovers after finitely many retries.
 
 #include <cstdint>
 #include <memory>
@@ -60,6 +59,15 @@ struct BudgetVerdict {
   double have_tokens = 0.0;
 };
 
+/// One answered input line: the kind of record it was answered with, which
+/// the transports tally, and the response lines (none for a shutdown).
+struct Answer {
+  /// kDecision also covers a rebroker advisory's "rebroker" record.
+  enum class Kind { kDecision, kPong, kError, kThrottled, kShutdown };
+  Kind kind = Kind::kDecision;
+  std::vector<std::string> lines;
+};
+
 class Service {
  public:
   explicit Service(ServiceOptions options);
@@ -73,28 +81,29 @@ class Service {
   /// in the request alone (warm and cold runs charge the same).
   double request_cost(const SvcRequest& request) const;
 
-  /// Token-bucket check-and-charge for one job request. Call exactly once
-  /// per request, in admission order, before process(). Thread-safe.
-  BudgetVerdict admit(const SvcRequest& request);
-
-  /// Answers one job request: serves the rendered payload from the
-  /// request-level memo (computing and persisting it on a miss, with
-  /// in-flight dedup across concurrent callers) and finalizes the id.
+  /// Answers one raw input line, for every transport: parse, budget check,
+  /// then the rendered payload from the request-level memo (computed and
+  /// persisted on a miss, with in-flight dedup across concurrent callers)
+  /// with the request's id filled in. Never throws: a malformed line, or a
+  /// request that cannot be priced, is answered with an error record
+  /// carrying the request's id (null when the line does not parse).
   /// Thread-safe.
-  std::vector<std::string> process(const SvcRequest& request);
+  Answer answer(const std::string& line);
 
-  /// Convenience one-shot path (batch mode, tests): parse + admit +
-  /// process one raw input line; malformed lines become error records and
-  /// pings become pongs. `is_shutdown`, when non-null, reports a shutdown
-  /// request (the line itself produces no output).
-  std::vector<std::string> process_line(const std::string& line,
-                                        bool* is_shutdown = nullptr);
+  /// answer(line).lines.
+  std::vector<std::string> process_line(const std::string& line);
 
   MemoStore& store() { return *store_; }
   const core::CampaignEngine& engine() const { return *engine_; }
   std::uint64_t seed() const { return options_.seed; }
 
  private:
+  /// Token-bucket check-and-charge for one job request, in arrival order.
+  BudgetVerdict admit(const SvcRequest& request);
+
+  /// Answers one admitted job or rebroker request (throws when the broker
+  /// cannot price it).
+  std::vector<std::string> process(const SvcRequest& request);
 
   /// Computes the rebroker advisory payload (cold path of process()).
   std::vector<std::string> answer_rebroker(const SvcRequest& request);

@@ -9,8 +9,12 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <sstream>
+#include <utility>
+#include <vector>
 
+#include "prop_util.hpp"
 #include "support/cli.hpp"
 #include "support/error.hpp"
 #include "support/io_util.hpp"
@@ -454,6 +458,79 @@ TEST(RecordLog, TornTailIsTruncatedNotFatal) {
   EXPECT_EQ(stats.recovered_records, 1u);
   EXPECT_GT(stats.dropped_bytes, 0u);
   std::remove(path.c_str());
+}
+
+// Recovery against seeded damage, the framing the memo store and the worker
+// shards share: every mutant of a five-record log either recovers or raises
+// hetero::Error; what it delivers is a byte-equal prefix of the records that
+// were written; the file is cut to exactly that prefix; and a second
+// recover() delivers the same records and cuts nothing.
+TEST(RecordLog, RecoverySurvivesSeededMutants) {
+  using Records = std::vector<std::pair<std::string, std::string>>;
+  const std::string path = "/tmp/heterolab_record_log_mutants.log";
+  const Records written = {{"alpha", "one"},
+                           {"", "empty key"},
+                           {"exp|k", std::string(300, 'x')},
+                           {"beta", std::string("two\0three", 9)},
+                           {"last", ""}};
+  std::remove(path.c_str());
+  {
+    support::RecordLog log(path);
+    for (const auto& [key, value] : written) {
+      log.append(key, value);
+    }
+  }
+  std::string pristine;
+  {
+    std::ifstream in(path, std::ios::binary);
+    pristine.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  // ends[n]: the length of the file's first n records (20-byte headers).
+  std::vector<std::size_t> ends = {0};
+  for (const auto& [key, value] : written) {
+    ends.push_back(ends.back() + 20 + key.size() + value.size());
+  }
+  ASSERT_EQ(ends.back(), pristine.size());
+
+  constexpr int kMutants = 10000;
+  test::PropRng rng(0x5eed0e4);
+  int recovered = 0;
+  int rejected = 0;
+  for (int i = 0; i < kMutants; ++i) {
+    const std::string mutant = test::mutate(rng, pristine);
+    std::remove(path.c_str());  // a fresh file each time: no rewrite flush
+    {
+      std::ofstream out(path, std::ios::binary);
+      out << mutant;
+    }
+    try {
+      support::RecordLog log(path);
+      Records got;
+      log.recover([&](std::string key, std::string value) {
+        got.emplace_back(std::move(key), std::move(value));
+      });
+      ASSERT_LE(got.size(), written.size()) << "mutant " << i;
+      ASSERT_TRUE(std::equal(got.begin(), got.end(), written.begin()))
+          << "mutant " << i << " delivered a record that was not written";
+      std::ifstream in(path, std::ios::binary | std::ios::ate);
+      ASSERT_EQ(static_cast<std::size_t>(in.tellg()), ends[got.size()])
+          << "mutant " << i << " was not cut to its " << got.size()
+          << " intact records";
+      Records again;
+      const auto second =
+          log.recover([&](std::string key, std::string value) {
+            again.emplace_back(std::move(key), std::move(value));
+          });
+      ASSERT_EQ(again, got) << "mutant " << i;
+      ASSERT_EQ(second.dropped_bytes, 0u) << "mutant " << i;
+      ++recovered;
+    } catch (const Error&) {
+      ++rejected;
+    }
+  }
+  std::remove(path.c_str());
+  EXPECT_EQ(recovered + rejected, kMutants);
+  EXPECT_GT(recovered, 0);
 }
 
 TEST(RecordLog, NullLogIsInertAndChecksumIsStable) {

@@ -1,6 +1,6 @@
 // Tests for the advisory service: wire protocol, persistent memo store
-// (including corruption recovery), the bit-exact result codec, and the
-// pipe transport end to end — warm restarts must be byte-identical.
+// (including corruption recovery), the bit-exact result codec, and both
+// transports end to end — warm restarts must be byte-identical.
 
 #include <gtest/gtest.h>
 #include <sys/socket.h>
@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <bit>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -677,9 +678,8 @@ TEST(SvcServe, UnpriceableRequestWithBudgetsAnswersErrorAndKeepsServing) {
   options.budget_refill = 1000.0;
   svc::Service service(options);
   // iterations:0 parses fine but cannot be priced: with budgets on, the
-  // reader thread prices it for admission. That must yield an error
-  // record for the request's id — not an exception unwinding serve_pipe
-  // past the joinable worker pool — and the stream must keep flowing.
+  // admission check prices it. That must yield an error record for the
+  // request's id, and the stream must keep flowing.
   std::istringstream in(
       "{\"id\":1,\"app\":\"rd\",\"ranks\":8,\"iterations\":0}\n" +
       small_request(2) + "\n");
@@ -695,72 +695,173 @@ TEST(SvcServe, UnpriceableRequestWithBudgetsAnswersErrorAndKeepsServing) {
   EXPECT_NE(lines[1].find("\"id\":2"), std::string::npos);
 }
 
-TEST(SvcServe, RejectModeAnswersEveryRequestWithDecisionOrBusy) {
-  svc::Service service(svc::ServiceOptions{});
-  svc::ServeOptions serve_options;
-  serve_options.reject_when_full = true;
-  serve_options.queue_capacity = 1;
-  std::string text;
-  for (int i = 0; i < 12; ++i) {
-    text += small_request(i, 8) + "\n";
+/// A serve_unix_socket daemon on its own thread, for the socket tests.
+class SocketServer {
+ public:
+  explicit SocketServer(svc::Service& service)
+      : path_("/tmp/svc_test_socket_" + std::to_string(::getpid()) +
+              ".sock"),
+        thread_([this, &service] {
+          stats_ = svc::serve_unix_socket(service, path_);
+        }) {}
+  ~SocketServer() {
+    if (thread_.joinable()) {  // a test that failed before its shutdown
+      converse("{\"id\":0,\"type\":\"shutdown\"}\n");
+      thread_.join();
+    }
+    ::unlink(path_.c_str());
   }
-  std::istringstream in(text);
-  std::ostringstream out;
-  const auto stats = svc::serve_pipe(service, in, out);
-  EXPECT_EQ(stats.served + stats.busy, 12u);
-  std::size_t answers = 0;
-  for (const auto& line : lines_of(out.str())) {
-    if (line.find("\"type\":\"decision\"") != std::string::npos ||
-        line.find("\"type\":\"busy\"") != std::string::npos) {
-      ++answers;
+
+  /// Connects (waiting for the socket to appear), sends `payload`, closes
+  /// the write side, and returns everything the daemon answers.
+  std::string converse(const std::string& payload) {
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::strncpy(addr.sun_path, path_.c_str(), sizeof(addr.sun_path) - 1);
+    int fd = -1;
+    for (int attempt = 0; attempt < 500 && fd < 0; ++attempt) {
+      fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+      if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
+          0) {
+        ::close(fd);
+        fd = -1;
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+      }
+    }
+    EXPECT_GE(fd, 0) << "could not connect to " << path_;
+    if (fd < 0) {
+      return "";
+    }
+    EXPECT_EQ(::write(fd, payload.data(), payload.size()),
+              static_cast<ssize_t>(payload.size()));
+    ::shutdown(fd, SHUT_WR);
+    std::string response;
+    char chunk[4096];
+    ssize_t n = 0;
+    while ((n = ::read(fd, chunk, sizeof(chunk))) > 0) {
+      response.append(chunk, static_cast<std::size_t>(n));
+    }
+    ::close(fd);
+    return response;
+  }
+
+  /// Waits for the daemon to stop (a connection sent "shutdown").
+  svc::ServeStats join() {
+    thread_.join();
+    return stats_;
+  }
+
+ private:
+  std::string path_;
+  svc::ServeStats stats_;
+  std::thread thread_;
+};
+
+std::vector<std::string> without_bye(const std::string& text) {
+  std::vector<std::string> lines;
+  for (auto& line : lines_of(text)) {
+    if (line.find("\"type\":\"bye\"") == std::string::npos) {
+      lines.push_back(std::move(line));
     }
   }
-  EXPECT_EQ(answers, 12u);
+  return lines;
 }
 
 TEST(SvcServe, UnixSocketSpeaksTheSameProtocol) {
-  const std::string path = "/tmp/svc_test_socket_" +
-                           std::to_string(::getpid()) + ".sock";
   svc::Service service(svc::ServiceOptions{});
-  svc::ServeStats stats;
-  std::thread server([&] {
-    stats = svc::serve_unix_socket(service, path);
-  });
-  // Wait for the socket to appear, then connect.
-  int fd = -1;
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
-  for (int attempt = 0; attempt < 200; ++attempt) {
-    fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    ASSERT_GE(fd, 0);
-    if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) ==
-        0) {
-      break;
-    }
-    ::close(fd);
-    fd = -1;
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  ASSERT_GE(fd, 0) << "could not connect to " << path;
-  const std::string payload = "{\"id\":0,\"type\":\"ping\"}\n" +
-                              small_request(1) + "\n" +
-                              "{\"id\":2,\"type\":\"shutdown\"}\n";
-  ASSERT_EQ(::write(fd, payload.data(), payload.size()),
-            static_cast<ssize_t>(payload.size()));
-  std::string response;
-  char chunk[4096];
-  ssize_t n = 0;
-  while ((n = ::read(fd, chunk, sizeof(chunk))) > 0) {
-    response.append(chunk, static_cast<std::size_t>(n));
-  }
-  ::close(fd);
-  server.join();
+  SocketServer server(service);
+  const std::string response = server.converse(
+      "{\"id\":0,\"type\":\"ping\"}\n" + small_request(1) + "\n" +
+      "{\"id\":2,\"type\":\"shutdown\"}\n");
+  const svc::ServeStats stats = server.join();
   EXPECT_NE(response.find("\"type\":\"pong\""), std::string::npos);
   EXPECT_NE(response.find("\"type\":\"decision\""), std::string::npos);
   EXPECT_NE(response.find("\"type\":\"bye\""), std::string::npos);
   EXPECT_EQ(stats.served, 1u);
-  ::unlink(path.c_str());
+}
+
+// Both transports run one request loop, so one stream gets the same
+// answers and the same tallies over either. A request the broker cannot
+// price (rd at the paper's p=1000) is an error carrying its own id.
+TEST(SvcServe, PipeAndSocketAnswerOneStreamAlike) {
+  svc::Service probe(svc::ServiceOptions{});
+  const std::string unpriceable =
+      R"({"id":3,"app":"rd","elements":8000000,"frontier":false})";
+  svc::ServiceOptions options;
+  // Room for requests 2 and 3 and nothing more: 4 is throttled.
+  options.budget_capacity =
+      probe.request_cost(svc::parse_request_line(small_request(2))) +
+      probe.request_cost(svc::parse_request_line(unpriceable));
+  const std::string stream = "{\"id\":0,\"type\":\"ping\"}\n" +
+                             std::string("{\"id\":1,\"app\":\n") +
+                             small_request(2) + "\n" + unpriceable + "\n" +
+                             small_request(4) + "\n";
+
+  svc::Service piped(options);
+  std::istringstream in(stream);
+  std::ostringstream out;
+  const svc::ServeStats pipe_stats = svc::serve_pipe(piped, in, out);
+
+  svc::Service socketed(options);
+  SocketServer server(socketed);
+  const std::string response =
+      server.converse(stream + "{\"id\":5,\"type\":\"shutdown\"}\n");
+  const svc::ServeStats socket_stats = server.join();
+
+  const auto answers = without_bye(out.str());
+  EXPECT_EQ(without_bye(response), answers);
+  ASSERT_EQ(answers.size(), 5u);
+  EXPECT_NE(answers[0].find("\"type\":\"pong\""), std::string::npos);
+  EXPECT_NE(answers[1].find(R"("type":"error","id":null)"),
+            std::string::npos);
+  EXPECT_NE(answers[2].find(R"("type":"decision","id":2)"),
+            std::string::npos);
+  EXPECT_NE(answers[3].find(R"("type":"error","id":3)"), std::string::npos);
+  EXPECT_NE(answers[4].find(R"("type":"throttled","id":4)"),
+            std::string::npos);
+  for (const svc::ServeStats& s : {pipe_stats, socket_stats}) {
+    EXPECT_EQ(s.served, 1u);
+    EXPECT_EQ(s.pings, 1u);
+    EXPECT_EQ(s.errors, 2u);
+    EXPECT_EQ(s.throttled, 1u);
+  }
+}
+
+/// Virtual memory size of this process in kB, from /proc/self/status.
+long vm_size_kb() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmSize:", 0) == 0) {
+      return std::stol(line.substr(7));
+    }
+  }
+  return -1;
+}
+
+// Each connection runs on a thread of its own. A finished connection's
+// thread must be joined while the daemon runs: an unjoined thread keeps its
+// stack (8 MB by default) mapped until shutdown.
+TEST(SvcServe, SequentialConnectionsDoNotAccumulateThreadStacks) {
+  svc::Service service(svc::ServiceOptions{});
+  SocketServer server(service);
+  const std::string ping = "{\"id\":0,\"type\":\"ping\"}\n";
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_NE(server.converse(ping).find("pong"), std::string::npos);
+  }
+  const long before_kb = vm_size_kb();
+  ASSERT_GT(before_kb, 0);
+  constexpr int kConnections = 100;
+  for (int i = 0; i < kConnections; ++i) {
+    ASSERT_NE(server.converse(ping).find("pong"), std::string::npos);
+  }
+  const long growth_kb = vm_size_kb() - before_kb;
+  server.converse("{\"id\":1,\"type\":\"shutdown\"}\n");
+  EXPECT_EQ(server.join().pings, 10u + kConnections);
+  // Unjoined, the stacks grew it by about 8.8 MB per connection.
+  EXPECT_LT(growth_kb, kConnections * 1024L)
+      << "VmSize grew " << growth_kb << " kB over " << kConnections
+      << " sequential connections";
 }
 
 }  // namespace

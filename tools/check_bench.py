@@ -20,8 +20,9 @@ Usage:
 
 `--schema svc` validates a heterolab-svc-v1 response stream instead (the
 advisory daemon's stdout): schema tag and known record type on every line,
-per-type required keys, non-decreasing response ids (the ordered-emitter
-contract), frontier/ranked seq numbering, and the final "bye" record.
+per-type required keys, non-decreasing response ids (each request is
+answered before the next is read), frontier/ranked seq numbering, and the
+final "bye" record.
 --baseline is optional in svc mode; when given, its checks run over the
 response records too.
 
@@ -99,7 +100,6 @@ SVC_REQUIRED = {
     "frontier": ["seq", "candidate", "time_s", "cost_usd"],
     "pong": [],
     "error": ["reason"],
-    "busy": ["queue_depth"],
     "throttled": ["client", "reason", "need_tokens", "have_tokens"],
     "rebroker": ["action", "target", "target_ranks", "stay_finish_s",
                  "move_finish_s", "stay_cost_usd", "move_cost_usd",
@@ -327,8 +327,8 @@ def validate_svc_stream(records):
         if not isinstance(rid, int) or isinstance(rid, bool):
             failures.append(f"{where}: id {rid!r} is not an integer")
             continue
-        # The ordered emitter answers strictly in admission order, so ids
-        # never decrease (equal is fine: one request, many records).
+        # Requests are answered strictly in arrival order, so ids never
+        # decrease (equal is fine: one request, many records).
         if last_id is not None and rid < last_id:
             failures.append(
                 f"{where}: id {rid} after id {last_id} — response ids "

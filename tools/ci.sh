@@ -159,10 +159,10 @@ gate_svc_soak() {
       --skip 5000 --start-id 5000 > "$OUT/svc.second.jsonl"
   for part in first second; do
     "$BUILD/tools/heterolab" serve --store "$OUT/svc.memo.log" \
-        --queue 16384 < "$OUT/svc.$part.jsonl" > "$OUT/svc.out.$part.jsonl"
+        < "$OUT/svc.$part.jsonl" > "$OUT/svc.out.$part.jsonl"
   done
   "$BUILD/tools/heterolab" serve --store "$OUT/svc.memo-fresh.log" \
-      --queue 16384 < "$OUT/svc.all.jsonl" > "$OUT/svc.out.all.jsonl"
+      < "$OUT/svc.all.jsonl" > "$OUT/svc.out.all.jsonl"
   cat "$OUT/svc.out.first.jsonl" "$OUT/svc.out.second.jsonl" \
       | grep -v '"type":"bye"' > "$OUT/svc.split.jsonl"
   grep -v '"type":"bye"' "$OUT/svc.out.all.jsonl" > "$OUT/svc.unbroken.jsonl"

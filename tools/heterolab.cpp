@@ -460,8 +460,8 @@ void print_serve_stats(const svc::ServeStats& stats, svc::Service& service) {
   // Summary goes to stderr: stdout is the response stream.
   const auto memo = service.store().stats();
   std::cerr << "served " << stats.served << " request(s), " << stats.pings
-            << " ping(s), " << stats.errors << " error(s), " << stats.busy
-            << " busy, " << stats.throttled << " throttled; memo "
+            << " ping(s), " << stats.errors << " error(s), "
+            << stats.throttled << " throttled; memo "
             << memo.hits << "/" << memo.lookups << " hit(s), "
             << memo.appends << " append(s)\n";
 }
@@ -501,16 +501,10 @@ int cmd_serve(const CliArgs& args) {
     service.store().flush();
     std::cerr << "serve: interrupted; memo store flushed\n";
   });
-  svc::ServeOptions serve_options;
-  serve_options.queue_capacity =
-      static_cast<std::size_t>(args.get_int("queue", 1024));
-  serve_options.reject_when_full = args.get_bool("reject-when-full", false);
-  serve_options.workers = args.get_int32("workers", 1);
   const std::string socket_path = args.get_string("socket", "");
-  const auto stats =
-      socket_path.empty()
-          ? svc::serve_pipe(service, std::cin, std::cout, serve_options)
-          : svc::serve_unix_socket(service, socket_path, serve_options);
+  const auto stats = socket_path.empty()
+                         ? svc::serve_pipe(service, std::cin, std::cout)
+                         : svc::serve_unix_socket(service, socket_path);
   support::remove_shutdown_hook(hook);
   print_serve_stats(stats, service);
   return 0;
@@ -696,8 +690,7 @@ int usage() {
       "      [--jobs J] [--csv]\n"
       "  broker --requests FILE.jsonl [--store PATH] [--seed S] [--jobs J]\n"
       "      answer a heterolab-svc-v1 request file in batch\n"
-      "  serve [--store PATH] [--socket PATH] [--queue N]\n"
-      "      [--reject-when-full] [--workers W] [--jobs J] [--seed S]\n"
+      "  serve [--store PATH] [--socket PATH] [--jobs J] [--seed S]\n"
       "      [--budget-capacity T] [--budget-refill T]\n"
       "      advisory daemon: JSONL requests on stdin (or the Unix socket),\n"
       "      JSONL decisions on stdout (see docs/service.md)\n"
@@ -811,10 +804,8 @@ int main(int argc, char** argv) {
                  : usage();
     }
     if (command == "serve") {
-      return flags_understood(args, {"store", "socket", "queue",
-                                     "reject-when-full", "workers", "jobs",
-                                     "seed", "budget-capacity",
-                                     "budget-refill"})
+      return flags_understood(args, {"store", "socket", "jobs", "seed",
+                                     "budget-capacity", "budget-refill"})
                  ? cmd_serve(args)
                  : usage();
     }
