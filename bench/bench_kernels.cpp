@@ -224,14 +224,19 @@ void bench_vec(bench::BenchOutput& out, const CliArgs& args) {
   std::cout << "\n";
 }
 
+/// The assembly rows time more and longer pairs than the other kernels:
+/// each side of a pair runs enough sweeps that the reference side takes at
+/// least 25 ms, over 15 pairs, so a host interruption lands inside a pair
+/// and moves its ratio less.
 void bench_assembly(bench::BenchOutput& out, const CliArgs& args) {
+  constexpr int kPairs = 15;
+  constexpr double kMinReferenceS = 0.025;
   const int cells = args.get_int32("assembly_cells", 6);
-  const int reps = args.get_int32("reps", 5);
   auto& flops_c = obs::metrics().counter("fem.kernel.assembly.flops");
   auto& bytes_c = obs::metrics().counter("fem.kernel.assembly.bytes");
 
-  Table table(
-      {"order", "tets", "ref[s]", "fast[s]", "speedup", "flops", "bytes"});
+  Table table({"order", "tets", "sweeps", "ref[s]", "fast[s]", "speedup",
+               "flops", "bytes"});
   for (const int order : {1, 2}) {
     const auto mesh = mesh::build_box_mesh({cells, cells, cells});
     fem::FeSpace space(mesh, order,
@@ -247,15 +252,26 @@ void bench_assembly(bench::BenchOutput& out, const CliArgs& args) {
         kernel.mass_stiffness_load(t, source, me, ke, fe);
       }
     };
+    la::set_kernel_mode(la::KernelMode::kReference);
+    const double t0 = bench::process_cpu_s();
+    sweep();
+    const int sweeps = std::max(
+        1, static_cast<int>(
+               std::ceil(kMinReferenceS / (bench::process_cpu_s() - t0))));
     // The fast mode's warm-up sweep builds its geometry cache.
-    const Paired t = paired_cpu(reps, sweep);
+    const Paired t = paired_cpu(kPairs, [&] {
+      for (int k = 0; k < sweeps; ++k) {
+        sweep();
+      }
+    });
     la::set_kernel_mode(la::KernelMode::kFast);
     const double f0 = flops_c.value();
     const double b0 = bytes_c.value();
     sweep();
     table.add_row({fmt_int(order),
                    fmt_int(static_cast<std::int64_t>(mesh.tet_count())),
-                   fmt(t.ref_s), fmt(t.fast_s), fmt(t.speedup),
+                   fmt_int(sweeps), fmt(t.ref_s / sweeps),
+                   fmt(t.fast_s / sweeps), fmt(t.speedup),
                    fmt(flops_c.value() - f0), fmt(bytes_c.value() - b0)});
   }
   std::cout << "## Element assembly (fused mass+stiffness+load sweep, "

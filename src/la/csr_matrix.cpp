@@ -10,38 +10,68 @@ namespace hetero::la {
 
 CsrMatrix CsrMatrix::from_triplets(int rows, int cols,
                                    std::span<const Triplet> triplets) {
-  HETERO_REQUIRE(rows >= 0 && cols >= 0, "matrix shape must be non-negative");
-  std::vector<Triplet> sorted(triplets.begin(), triplets.end());
-  for (const auto& t : sorted) {
-    HETERO_REQUIRE(t.row >= 0 && t.row < rows && t.col >= 0 && t.col < cols,
-                   "triplet index out of range");
+  std::vector<std::int32_t> entry_row(triplets.size());
+  std::vector<std::int32_t> entry_col(triplets.size());
+  for (std::size_t k = 0; k < triplets.size(); ++k) {
+    entry_row[k] = triplets[k].row;
+    entry_col[k] = triplets[k].col;
   }
-  std::sort(sorted.begin(), sorted.end(), [](const Triplet& a,
-                                             const Triplet& b) {
-    return a.row < b.row || (a.row == b.row && a.col < b.col);
-  });
+  std::vector<std::int32_t> slots;
+  CsrMatrix m = from_pattern(rows, cols, entry_row, entry_col, slots);
+  for (std::size_t k = 0; k < triplets.size(); ++k) {
+    m.values_[static_cast<std::size_t>(slots[k])] += triplets[k].value;
+  }
+  return m;
+}
 
+CsrMatrix CsrMatrix::from_pattern(int rows, int cols,
+                                  std::span<const std::int32_t> entry_row,
+                                  std::span<const std::int32_t> entry_col,
+                                  std::vector<std::int32_t>& slots) {
+  HETERO_REQUIRE(rows >= 0 && cols >= 0, "matrix shape must be non-negative");
+  const std::size_t n = entry_row.size();
+  HETERO_REQUIRE(entry_col.size() == n && n <= 0x7fffffffu,
+                 "pattern: one column per row index, fewer than 2^31");
+  // Count each row's entries, then bucket their (col, k) keys by row.
+  std::vector<std::size_t> start(static_cast<std::size_t>(rows) + 1, 0);
+  for (std::size_t k = 0; k < n; ++k) {
+    HETERO_REQUIRE(entry_row[k] >= 0 && entry_row[k] < rows &&
+                       entry_col[k] >= 0 && entry_col[k] < cols,
+                   "triplet index out of range");
+    ++start[static_cast<std::size_t>(entry_row[k]) + 1];
+  }
+  for (std::size_t r = 0; r < static_cast<std::size_t>(rows); ++r) {
+    start[r + 1] += start[r];
+  }
+  std::vector<std::uint64_t> keys(n);
+  std::vector<std::size_t> next(start.begin(), start.end() - 1);
+  for (std::size_t k = 0; k < n; ++k) {
+    keys[next[static_cast<std::size_t>(entry_row[k])]++] =
+        static_cast<std::uint64_t>(entry_col[k]) << 32 | k;
+  }
+
+  // A sorted row meets each column in one run: one stored entry per run.
   CsrMatrix m;
   m.rows_ = rows;
   m.cols_ = cols;
   m.row_ptr_.assign(static_cast<std::size_t>(rows) + 1, 0);
-  m.col_idx_.reserve(sorted.size());
-  m.values_.reserve(sorted.size());
-  std::size_t i = 0;
-  for (int r = 0; r < rows; ++r) {
-    while (i < sorted.size() && sorted[i].row == r) {
-      const int c = sorted[i].col;
-      double v = 0.0;
-      while (i < sorted.size() && sorted[i].row == r && sorted[i].col == c) {
-        v += sorted[i].value;
-        ++i;
+  slots.resize(n);
+  for (std::size_t r = 0; r < static_cast<std::size_t>(rows); ++r) {
+    const auto first = keys.begin() + static_cast<std::ptrdiff_t>(start[r]);
+    const auto last = keys.begin() + static_cast<std::ptrdiff_t>(start[r + 1]);
+    std::sort(first, last);
+    for (auto it = first; it != last; ++it) {
+      const int c = static_cast<int>(*it >> 32);
+      if (it == first || c != m.col_idx_.back()) {
+        m.col_idx_.push_back(c);
       }
-      m.col_idx_.push_back(c);
-      m.values_.push_back(v);
+      slots[*it & 0xffffffffu] =
+          static_cast<std::int32_t>(m.col_idx_.size() - 1);
     }
-    m.row_ptr_[static_cast<std::size_t>(r) + 1] =
-        static_cast<std::int64_t>(m.col_idx_.size());
+    m.row_ptr_[r + 1] = static_cast<std::int64_t>(m.col_idx_.size());
   }
+  m.col_idx_.shrink_to_fit();
+  m.values_.assign(m.col_idx_.size(), 0.0);
   return m;
 }
 

@@ -28,10 +28,18 @@ class CsrMatrix {
  public:
   CsrMatrix() = default;
 
-  /// Builds from triplets; duplicates are summed. `rows`/`cols` give the
-  /// matrix shape (cols may exceed rows: ghost columns).
+  /// Builds from triplets; duplicates are summed in input order. `rows`/
+  /// `cols` give the matrix shape (cols may exceed rows: ghost columns).
   static CsrMatrix from_triplets(int rows, int cols,
                                  std::span<const Triplet> triplets);
+
+  /// The pattern of the entries (entry_row[k], entry_col[k]), every value
+  /// 0, and in `slots` the value slot of each entry: a counting pass over
+  /// rows, then a sort of each row's (col, k) keys.
+  static CsrMatrix from_pattern(int rows, int cols,
+                                std::span<const std::int32_t> entry_row,
+                                std::span<const std::int32_t> entry_col,
+                                std::vector<std::int32_t>& slots);
 
   int rows() const { return rows_; }
   int cols() const { return cols_; }

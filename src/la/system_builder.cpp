@@ -14,59 +14,64 @@ DistSystemBuilder::DistSystemBuilder(simmpi::Comm& comm,
   touched_.erase(std::unique(touched_.begin(), touched_.end()),
                  touched_.end());
   directory_ = GidDirectory::build(comm, touched_);
-  const auto owners = directory_->lookup(comm, touched_);
-  touched_owner_.reserve(touched_.size());
-  for (std::size_t i = 0; i < touched_.size(); ++i) {
-    touched_owner_.emplace(touched_[i], owners[i]);
+  touched_owner_ = directory_->lookup(comm, touched_);
+  touched_index_.reserve(touched_.size());
+  for (std::size_t t = 0; t < touched_.size(); ++t) {
+    touched_index_.emplace(touched_[t], static_cast<int>(t));
   }
 }
 
 void DistSystemBuilder::begin_assembly() {
-  mat_pending_.clear();
-  rhs_pending_.clear();
-  if (frozen_ && kernel_mode() == KernelMode::kFast) {
-    begin_fast_round();
-  } else {
-    fast_round_ = false;
+  mat_values_.clear();
+  rhs_values_.clear();
+  if (!frozen_) {
+    mat_sequence_.clear();
+    rhs_sequence_.clear();
+    return;
   }
+  // A refill adds onto zeros: kept contributions in add order (at add time
+  // or at finalize), then the received blocks.
+  fast_round_ = kernel_mode() == KernelMode::kFast;
+  mat_pos_ = 0;
+  rhs_pos_ = 0;
+  auto values = matrix_->local_mut().values_mut();
+  std::fill(values.begin(), values.end(), 0.0);
+  rhs_->set_all(0.0);
 }
 
 void DistSystemBuilder::add_matrix(GlobalId row, GlobalId col, double value) {
-  if (fast_round_) {
-    const std::size_t i = mat_fast_pos_++;
-    HETERO_REQUIRE(i < mat_sequence_.size(),
-                   "refill produced a different number of matrix entries");
-    HETERO_REQUIRE(mat_sequence_[i].row == row && mat_sequence_[i].col == col,
-                   "refill changed the matrix sparsity sequence");
-    const std::int64_t slot = mat_fast_slot_[i];
-    if (slot >= 0) {
-      fast_values_[slot] += value;
-    } else {
-      mat_route_vals_[static_cast<std::size_t>(mat_fast_rank_[i])]
-                     [static_cast<std::size_t>(mat_fast_off_[i])] = value;
-    }
+  if (!frozen_) {
+    mat_sequence_.push_back({row, col});
+    mat_values_.push_back(value);
     return;
   }
-  mat_pending_.push_back({row, col, value});
+  const std::size_t i = mat_pos_++;
+  HETERO_REQUIRE(i < mat_sequence_.size(),
+                 "refill produced a different number of matrix entries");
+  HETERO_REQUIRE(mat_sequence_[i].row == row && mat_sequence_[i].col == col,
+                 "refill changed the matrix sparsity sequence");
+  if (fast_round_) {
+    mat_plan_.add(matrix_values(), i, value);
+  } else {
+    mat_values_.push_back(value);
+  }
 }
 
 void DistSystemBuilder::add_rhs(GlobalId row, double value) {
-  if (fast_round_) {
-    const std::size_t i = rhs_fast_pos_++;
-    HETERO_REQUIRE(i < rhs_sequence_.size(),
-                   "refill produced a different number of rhs entries");
-    HETERO_REQUIRE(rhs_sequence_[i].row == row,
-                   "refill changed the rhs sequence");
-    const std::int32_t lid = rhs_fast_lid_[i];
-    if (lid >= 0) {
-      (*rhs_)[lid] += value;
-    } else {
-      rhs_route_vals_[static_cast<std::size_t>(rhs_fast_rank_[i])]
-                     [static_cast<std::size_t>(rhs_fast_off_[i])] = value;
-    }
+  if (!frozen_) {
+    rhs_sequence_.push_back(row);
+    rhs_values_.push_back(value);
     return;
   }
-  rhs_pending_.push_back({row, value});
+  const std::size_t i = rhs_pos_++;
+  HETERO_REQUIRE(i < rhs_sequence_.size(),
+                 "refill produced a different number of rhs entries");
+  HETERO_REQUIRE(rhs_sequence_[i] == row, "refill changed the rhs sequence");
+  if (fast_round_) {
+    rhs_plan_.add(rhs_->values().data(), i, value);
+  } else {
+    rhs_values_.push_back(value);
+  }
 }
 
 void DistSystemBuilder::add_dense_block(std::span<const GlobalId> rows,
@@ -91,271 +96,203 @@ void DistSystemBuilder::add_rhs_block(std::span<const GlobalId> rows,
   }
 }
 
-int DistSystemBuilder::owner_of_row(GlobalId row) const {
-  const auto it = touched_owner_.find(row);
-  HETERO_REQUIRE(it != touched_owner_.end(),
-                 "contribution to a row this rank never declared as touched");
-  return it->second;
+int DistSystemBuilder::index_of(GlobalId gid, Memo& memo,
+                                std::vector<GlobalId>* extras) {
+  auto& [memo_gid, index] =
+      memo[(static_cast<std::uint64_t>(gid) * 0x9e3779b97f4a7c15ull) >> 56];
+  if (index < 0 || memo_gid != gid) {
+    auto it = touched_index_.find(gid);
+    if (it == touched_index_.end()) {
+      HETERO_REQUIRE(extras != nullptr,
+                     "contribution to a row this rank never declared as "
+                     "touched");
+      const int next = static_cast<int>(touched_.size() + extras->size());
+      it = touched_index_.emplace(gid, next).first;
+      extras->push_back(gid);
+    }
+    memo_gid = gid;
+    index = it->second;
+  }
+  return index;
 }
 
 void DistSystemBuilder::finalize(simmpi::Comm& comm) {
   if (!frozen_) {
     first_finalize(comm);
-  } else if (fast_round_) {
-    fast_replay_finalize(comm);
-  } else {
-    replay_finalize(comm);
+    return;
   }
-}
-
-void DistSystemBuilder::build_fast_plan() {
-  const std::size_t p = mat_route_.size();
-
-  mat_kept_count_ = static_cast<std::int64_t>(mat_kept_.size());
-  mat_fast_slot_.assign(mat_sequence_.size(), -1);
-  mat_fast_rank_.assign(mat_sequence_.size(), -1);
-  mat_fast_off_.assign(mat_sequence_.size(), -1);
-  for (std::size_t j = 0; j < mat_kept_.size(); ++j) {
-    mat_fast_slot_[mat_kept_[j]] = mat_slots_[j];
-  }
-  mat_route_vals_.assign(p, {});
-  for (std::size_t r = 0; r < p; ++r) {
-    mat_route_vals_[r].resize(mat_route_[r].size());
-    for (std::size_t off = 0; off < mat_route_[r].size(); ++off) {
-      mat_fast_rank_[mat_route_[r][off]] = static_cast<std::int32_t>(r);
-      mat_fast_off_[mat_route_[r][off]] = static_cast<std::int32_t>(off);
-    }
-  }
-
-  rhs_kept_count_ = rhs_kept_.size();
-  rhs_fast_lid_.assign(rhs_sequence_.size(), -1);
-  rhs_fast_rank_.assign(rhs_sequence_.size(), -1);
-  rhs_fast_off_.assign(rhs_sequence_.size(), -1);
-  for (std::size_t j = 0; j < rhs_kept_.size(); ++j) {
-    rhs_fast_lid_[rhs_kept_[j]] = rhs_slots_[j];
-  }
-  rhs_route_vals_.assign(p, {});
-  for (std::size_t r = 0; r < p; ++r) {
-    rhs_route_vals_[r].resize(rhs_route_[r].size());
-    for (std::size_t off = 0; off < rhs_route_[r].size(); ++off) {
-      rhs_fast_rank_[rhs_route_[r][off]] = static_cast<std::int32_t>(r);
-      rhs_fast_off_[rhs_route_[r][off]] = static_cast<std::int32_t>(off);
-    }
-  }
-  fast_plan_built_ = true;
-}
-
-void DistSystemBuilder::begin_fast_round() {
-  if (!fast_plan_built_) {
-    build_fast_plan();
-  }
-  mat_fast_pos_ = 0;
-  rhs_fast_pos_ = 0;
-  // Zero up front (the reference replay zeroes at finalize); kept entries
-  // then accumulate in add order, exactly the prefix of the reference
-  // accumulation sequence.
-  auto values = matrix_->local_mut().values_mut();
-  std::fill(values.begin(), values.end(), 0.0);
-  fast_values_ = values.data();
-  rhs_->set_all(0.0);
-  fast_round_ = true;
-}
-
-void DistSystemBuilder::fast_replay_finalize(simmpi::Comm& comm) {
-  HETERO_REQUIRE(mat_fast_pos_ == mat_sequence_.size(),
+  HETERO_REQUIRE(mat_pos_ == mat_sequence_.size(),
                  "refill produced a different number of matrix entries");
-  HETERO_REQUIRE(rhs_fast_pos_ == rhs_sequence_.size(),
+  HETERO_REQUIRE(rhs_pos_ == rhs_sequence_.size(),
                  "refill produced a different number of rhs entries");
-  // Kept values are already in place; ship the routed blocks and accumulate
-  // them after, per source rank — the reference replay's order.
-  const auto mat_in = comm.alltoallv(mat_route_vals_);
-  const auto rhs_in = comm.alltoallv(rhs_route_vals_);
-
-  auto values = matrix_->local_mut().values_mut();
-  std::size_t k = static_cast<std::size_t>(mat_kept_count_);
-  for (const auto& block : mat_in) {
-    for (double v : block) {
-      values[static_cast<std::size_t>(mat_slots_[k++])] += v;
+  if (!fast_round_) {
+    for (std::size_t i = 0; i < mat_values_.size(); ++i) {
+      mat_plan_.add(matrix_values(), i, mat_values_[i]);
+    }
+    for (std::size_t i = 0; i < rhs_values_.size(); ++i) {
+      rhs_plan_.add(rhs_->values().data(), i, rhs_values_[i]);
     }
   }
-  HETERO_CHECK(k == mat_slots_.size());
-
-  k = rhs_kept_count_;
-  for (const auto& block : rhs_in) {
-    for (double v : block) {
-      (*rhs_)[rhs_slots_[k++]] += v;
-    }
-  }
-  HETERO_CHECK(k == rhs_slots_.size());
   fast_round_ = false;
-  fast_values_ = nullptr;
+  mat_plan_.ship(comm, matrix_values());
+  rhs_plan_.ship(comm, rhs_->values().data());
+}
+
+void DistSystemBuilder::Plan::ship(simmpi::Comm& comm, double* target) const {
+  std::vector<std::vector<double>> blocks(off.size() - 1);
+  for (std::size_t r = 0; r < blocks.size(); ++r) {
+    blocks[r].assign(send.begin() + off[r], send.begin() + off[r + 1]);
+  }
+  std::size_t j = 0;
+  for (const auto& block : comm.alltoallv(blocks)) {
+    for (const double v : block) {
+      target[recv[j++]] += v;
+    }
+  }
+  HETERO_CHECK(j == recv.size());
 }
 
 void DistSystemBuilder::first_finalize(simmpi::Comm& comm) {
-  const int p = comm.size();
   const int me = comm.rank();
-
-  // ---- route matrix triplets by row owner -------------------------------
-  mat_route_.assign(static_cast<std::size_t>(p), {});
-  mat_kept_.clear();
-  for (std::size_t i = 0; i < mat_pending_.size(); ++i) {
-    const int owner = owner_of_row(mat_pending_[i].row);
-    if (owner == me) {
-      mat_kept_.push_back(i);
-    } else {
-      mat_route_[static_cast<std::size_t>(owner)].push_back(i);
+  Memo memo;
+  memo.fill({0, -1});
+  // Routes contribution take(i), i < count, by row owner: a routed add
+  // gets the next position of its owner's send block, a kept one dest 0
+  // until its slot is known. Returns the blocks to ship.
+  const auto route = [&](std::size_t count, auto take, Plan& plan) {
+    std::vector<std::vector<decltype(take(0))>> out(
+        static_cast<std::size_t>(comm.size()));
+    plan.dest.resize(count);
+    for (std::size_t i = 0; i < count; ++i) {
+      const auto c = take(i);
+      const int owner = touched_owner_[static_cast<std::size_t>(
+          index_of(c.row, memo, nullptr))];
+      plan.dest[i] = owner;
+      if (owner != me) {
+        out[static_cast<std::size_t>(owner)].push_back(c);
+      }
     }
-  }
-  std::vector<std::vector<GlobalTriplet>> mat_out(static_cast<std::size_t>(p));
-  for (int r = 0; r < p; ++r) {
-    for (std::size_t i : mat_route_[static_cast<std::size_t>(r)]) {
-      mat_out[static_cast<std::size_t>(r)].push_back(mat_pending_[i]);
+    plan.off.assign(out.size() + 1, 0);
+    for (std::size_t r = 0; r < out.size(); ++r) {
+      plan.off[r + 1] = plan.off[r] + static_cast<std::int32_t>(out[r].size());
     }
-  }
-  const auto mat_in = comm.alltoallv(mat_out);
+    plan.send.assign(static_cast<std::size_t>(plan.off.back()), 0.0);
+    std::vector<std::int32_t> next(plan.off.begin(), plan.off.end() - 1);
+    for (std::int32_t& d : plan.dest) {
+      d = d == me ? 0 : ~next[static_cast<std::size_t>(d)]++;
+    }
+    return out;
+  };
+  const auto mat_in = comm.alltoallv(route(
+      mat_values_.size(),
+      [&](std::size_t i) {
+        return GlobalTriplet{mat_sequence_[i].row, mat_sequence_[i].col,
+                             mat_values_[i]};
+      },
+      mat_plan_));
+  const auto rhs_in = comm.alltoallv(route(
+      rhs_values_.size(),
+      [&](std::size_t i) {
+        return GlobalPair{rhs_sequence_[i], rhs_values_[i]};
+      },
+      rhs_plan_));
 
-  // Combined deterministic order: kept first, then per-source blocks.
-  std::vector<GlobalTriplet> combined;
-  combined.reserve(mat_kept_.size());
-  for (std::size_t i : mat_kept_) {
-    combined.push_back(mat_pending_[i]);
+  // Every contribution to an owned row, in the order each round adds them
+  // up: kept ones in add order, then each source rank's block, as
+  // index_of() indices.
+  std::vector<GlobalId> extras;
+  std::vector<std::int32_t> rows, cols, rhs_rows;
+  std::size_t mat_count =
+      mat_values_.size() - static_cast<std::size_t>(mat_plan_.off.back());
+  for (const auto& block : mat_in) {
+    mat_count += block.size();
+  }
+  rows.reserve(mat_count);
+  cols.reserve(mat_count);
+  const auto take = [&](const auto& c) {
+    rows.push_back(index_of(c.row, memo, nullptr));
+    cols.push_back(index_of(c.col, memo, &extras));
+  };
+  for (std::size_t i = 0; i < mat_sequence_.size(); ++i) {
+    if (mat_plan_.dest[i] >= 0) {
+      take(mat_sequence_[i]);
+    }
   }
   for (const auto& block : mat_in) {
-    combined.insert(combined.end(), block.begin(), block.end());
+    std::for_each(block.begin(), block.end(), take);
   }
-
-  // ---- route rhs pairs ---------------------------------------------------
-  rhs_route_.assign(static_cast<std::size_t>(p), {});
-  rhs_kept_.clear();
-  for (std::size_t i = 0; i < rhs_pending_.size(); ++i) {
-    const int owner = owner_of_row(rhs_pending_[i].row);
-    if (owner == me) {
-      rhs_kept_.push_back(i);
-    } else {
-      rhs_route_[static_cast<std::size_t>(owner)].push_back(i);
+  for (std::size_t i = 0; i < rhs_sequence_.size(); ++i) {
+    if (rhs_plan_.dest[i] >= 0) {
+      rhs_rows.push_back(index_of(rhs_sequence_[i], memo, nullptr));
     }
-  }
-  std::vector<std::vector<GlobalPair>> rhs_out(static_cast<std::size_t>(p));
-  for (int r = 0; r < p; ++r) {
-    for (std::size_t i : rhs_route_[static_cast<std::size_t>(r)]) {
-      rhs_out[static_cast<std::size_t>(r)].push_back(rhs_pending_[i]);
-    }
-  }
-  const auto rhs_in = comm.alltoallv(rhs_out);
-  std::vector<GlobalPair> rhs_combined;
-  for (std::size_t i : rhs_kept_) {
-    rhs_combined.push_back(rhs_pending_[i]);
   }
   for (const auto& block : rhs_in) {
-    rhs_combined.insert(rhs_combined.end(), block.begin(), block.end());
-  }
-
-  // ---- resolve columns and build the index map ---------------------------
-  std::vector<GlobalId> extra;
-  for (const auto& t : combined) {
-    if (touched_owner_.find(t.col) == touched_owner_.end()) {
-      extra.push_back(t.col);
+    for (const GlobalPair& c : block) {
+      rhs_rows.push_back(index_of(c.row, memo, nullptr));
     }
   }
-  map_ = IndexMap::build(comm, *directory_, touched_, extra);
+
+  map_ = IndexMap::build(comm, *directory_, touched_, extras);
   halo_ = std::make_unique<HaloExchange>(comm, *map_);
 
-  // ---- build the CSR pattern + value slots --------------------------------
-  std::vector<Triplet> local;
-  local.reserve(combined.size());
-  for (const auto& t : combined) {
-    const int rl = map_->local(t.row);
-    const int cl = map_->local(t.col);
-    HETERO_CHECK(rl != kInvalidLocal && map_->is_owned_local(rl));
-    HETERO_CHECK(cl != kInvalidLocal);
-    local.push_back({rl, cl, t.value});
+  // Indices become local ids; every row is owned.
+  std::vector<std::int32_t> local(touched_.size() + extras.size());
+  for (std::size_t t = 0; t < local.size(); ++t) {
+    local[t] = map_->local(t < touched_.size() ? touched_[t]
+                                               : extras[t - touched_.size()]);
   }
-  CsrMatrix csr = CsrMatrix::from_triplets(map_->owned_count(),
-                                           map_->local_count(), local);
-  mat_slots_.resize(combined.size());
-  for (std::size_t i = 0; i < combined.size(); ++i) {
-    mat_slots_[i] = csr.slot(local[i].row, local[i].col);
-    HETERO_CHECK(mat_slots_[i] >= 0);
+  for (auto* ids : {&rows, &rhs_rows}) {
+    for (std::int32_t& r : *ids) {
+      r = local[static_cast<std::size_t>(r)];
+      HETERO_CHECK(map_->is_owned_local(r));
+    }
   }
-  matrix_.emplace(*map_, *halo_, std::move(csr));
+  for (std::int32_t& c : cols) {
+    c = local[static_cast<std::size_t>(c)];
+  }
 
+  // Kept adds take their slots in add order, then the received values
+  // theirs; the first round's values add up in that order too.
+  const auto freeze = [](Plan& plan, std::span<const std::int32_t> slots,
+                         std::span<const double> values, const auto& in,
+                         double* target) {
+    std::size_t k = 0;
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      if (plan.dest[i] >= 0) {
+        plan.dest[i] = slots[k++];
+        target[plan.dest[i]] += values[i];
+      }
+    }
+    plan.recv.assign(slots.begin() + static_cast<std::ptrdiff_t>(k),
+                     slots.end());
+    for (const auto& block : in) {
+      for (const auto& c : block) {
+        target[slots[k++]] += c.value;
+      }
+    }
+  };
+  std::vector<std::int32_t> slots;
+  matrix_.emplace(*map_, *halo_,
+                  CsrMatrix::from_pattern(map_->owned_count(),
+                                          map_->local_count(), rows, cols,
+                                          slots));
   rhs_.emplace(*map_);
-  rhs_slots_.resize(rhs_combined.size());
-  for (std::size_t i = 0; i < rhs_combined.size(); ++i) {
-    const int rl = map_->local(rhs_combined[i].row);
-    HETERO_CHECK(rl != kInvalidLocal && map_->is_owned_local(rl));
-    rhs_slots_[i] = rl;
-    (*rhs_)[rl] += rhs_combined[i].value;
-  }
-
-  mat_sequence_ = std::move(mat_pending_);
-  rhs_sequence_ = std::move(rhs_pending_);
-  mat_pending_.clear();
-  rhs_pending_.clear();
+  freeze(mat_plan_, slots, mat_values_, mat_in, matrix_values());
+  freeze(rhs_plan_, rhs_rows, rhs_values_, rhs_in, rhs_->values().data());
+  mat_values_ = {};
+  rhs_values_ = {};
   frozen_ = true;
 }
 
-void DistSystemBuilder::replay_finalize(simmpi::Comm& comm) {
-  const int p = comm.size();
-  HETERO_REQUIRE(mat_pending_.size() == mat_sequence_.size(),
-                 "refill produced a different number of matrix entries");
-  HETERO_REQUIRE(rhs_pending_.size() == rhs_sequence_.size(),
-                 "refill produced a different number of rhs entries");
-  // Structural identity check (indices must repeat exactly).
-  for (std::size_t i = 0; i < mat_pending_.size(); ++i) {
-    HETERO_REQUIRE(mat_pending_[i].row == mat_sequence_[i].row &&
-                       mat_pending_[i].col == mat_sequence_[i].col,
-                   "refill changed the matrix sparsity sequence");
+std::size_t DistSystemBuilder::plan_bytes() const {
+  std::size_t words = 0;
+  for (const Plan* plan : {&mat_plan_, &rhs_plan_}) {
+    words += plan->dest.capacity() + plan->recv.capacity() +
+             plan->off.capacity();
   }
-  for (std::size_t i = 0; i < rhs_pending_.size(); ++i) {
-    HETERO_REQUIRE(rhs_pending_[i].row == rhs_sequence_[i].row,
-                   "refill changed the rhs sequence");
-  }
-
-  // Ship values only, in the frozen routing order.
-  std::vector<std::vector<double>> mat_out(static_cast<std::size_t>(p));
-  for (int r = 0; r < p; ++r) {
-    for (std::size_t i : mat_route_[static_cast<std::size_t>(r)]) {
-      mat_out[static_cast<std::size_t>(r)].push_back(mat_pending_[i].value);
-    }
-  }
-  const auto mat_in = comm.alltoallv(mat_out);
-  std::vector<std::vector<double>> rhs_out(static_cast<std::size_t>(p));
-  for (int r = 0; r < p; ++r) {
-    for (std::size_t i : rhs_route_[static_cast<std::size_t>(r)]) {
-      rhs_out[static_cast<std::size_t>(r)].push_back(rhs_pending_[i].value);
-    }
-  }
-  const auto rhs_in = comm.alltoallv(rhs_out);
-
-  auto values = matrix_->local_mut().values_mut();
-  std::fill(values.begin(), values.end(), 0.0);
-  std::size_t k = 0;
-  for (std::size_t i : mat_kept_) {
-    values[static_cast<std::size_t>(mat_slots_[k++])] +=
-        mat_pending_[i].value;
-  }
-  for (const auto& block : mat_in) {
-    for (double v : block) {
-      values[static_cast<std::size_t>(mat_slots_[k++])] += v;
-    }
-  }
-  HETERO_CHECK(k == mat_slots_.size());
-
-  rhs_->set_all(0.0);
-  k = 0;
-  for (std::size_t i : rhs_kept_) {
-    (*rhs_)[rhs_slots_[k++]] += rhs_pending_[i].value;
-  }
-  for (const auto& block : rhs_in) {
-    for (double v : block) {
-      (*rhs_)[rhs_slots_[k++]] += v;
-    }
-  }
-  HETERO_CHECK(k == rhs_slots_.size());
-
-  mat_pending_.clear();
-  rhs_pending_.clear();
+  return words * sizeof(std::int32_t) +
+         mat_sequence_.capacity() * sizeof(RowCol) +
+         rhs_sequence_.capacity() * sizeof(GlobalId);
 }
 
 const IndexMap& DistSystemBuilder::map() const {

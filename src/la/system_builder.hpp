@@ -15,20 +15,33 @@
 /// rounds replay it shipping *values only* — the same optimization real FEM
 /// codes use.
 ///
-/// Under la::KernelMode::kFast frozen rounds go further: begin_assembly()
-/// zeroes the CSR values and rhs up front and every add_* call scatters its
-/// value straight to its precomputed destination (CSR slot for locally kept
-/// entries, routing buffer otherwise) while checking the frozen sequence,
-/// so a refill performs no triplet buffering and no second pass. The
-/// accumulation order per slot is unchanged from the reference replay
-/// (kept contributions in add order first, then per-source-rank blocks), so
-/// refilled values are bit-identical. Sequence violations throw at the
-/// offending add_* call instead of at finalize().
+/// The freeze runs in linear passes: rows and columns resolve through a
+/// small direct-mapped memo (an element block's gids repeat, so a run of
+/// equal rows costs one lookup), and the CSR pattern comes from a counting
+/// pass over owned rows plus a sort of each row's (column, contribution)
+/// keys, which also gives every contribution its value slot. What it keeps is one
+/// compact replay plan per contribution kind: the (row, col) sequence
+/// (without values, for the exact per-entry check), a 32-bit destination per
+/// add — its slot on this rank, or its position in the owner's send block —
+/// and a 32-bit slot per received value. Every round, the first included,
+/// accumulates each slot in the same order: kept contributions in add
+/// order, then each source rank's block.
+///
+/// Both kernel modes read that plan. A refill zeroes the CSR values and
+/// rhs in begin_assembly(), and every add_* call checks the frozen sequence
+/// (a violation throws at the offending call). Under
+/// la::KernelMode::kReference the round buffers its values and scatters
+/// them at finalize(); under kFast each add scatters its value straight to
+/// its destination, so a refill performs no buffering and no second pass.
+/// Values are bit-identical either way.
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <optional>
 #include <span>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "la/dist_matrix.hpp"
@@ -43,7 +56,8 @@ class DistSystemBuilder {
   /// Collective: establishes ownership of the dof gids this rank touches.
   DistSystemBuilder(simmpi::Comm& comm, std::vector<GlobalId> touched);
 
-  /// Starts an assembly round; clears pending contributions.
+  /// Starts an assembly round; every round, the first included, begins
+  /// with it.
   void begin_assembly();
 
   /// Adds A(row, col) += value. After the structure is frozen, calls must
@@ -70,13 +84,16 @@ class DistSystemBuilder {
   /// distributed system.
   void finalize(simmpi::Comm& comm);
 
-  bool structure_frozen() const { return frozen_; }
-
   const IndexMap& map() const;
   const HaloExchange& halo() const;
   DistCsrMatrix& matrix();
   const DistCsrMatrix& matrix() const;
   DistVector& rhs();
+
+  /// Bytes the frozen replay plan holds (the sequences, destinations,
+  /// receive slots and block offsets; not the send value buffers); 0
+  /// before the first finalize(). Exposed for tests.
+  std::size_t plan_bytes() const;
 
  private:
   struct GlobalTriplet {
@@ -88,21 +105,56 @@ class DistSystemBuilder {
     GlobalId row = 0;
     double value = 0.0;
   };
+  struct RowCol {
+    GlobalId row = 0;
+    GlobalId col = 0;
+  };
+
+  /// The frozen route of one contribution kind. dest[i] >= 0 is the i-th
+  /// add's slot on this rank; dest[i] < 0 puts it at send[~dest[i]], inside
+  /// the owner r's block [off[r], off[r+1]). recv[j] is the slot of the
+  /// j-th received value, blocks in source-rank order.
+  struct Plan {
+    std::vector<std::int32_t> dest;
+    std::vector<std::int32_t> recv;
+    std::vector<std::int32_t> off;
+    std::vector<double> send;
+
+    void add(double* target, std::size_t i, double value) {
+      const std::int32_t d = dest[i];
+      if (d >= 0) {
+        target[d] += value;
+      } else {
+        send[static_cast<std::size_t>(~d)] = value;
+      }
+    }
+    /// Collective: ships the send blocks and adds what arrives.
+    void ship(simmpi::Comm& comm, double* target) const;
+  };
+
+  /// Direct-mapped memo of index_of(): FEM element blocks repeat a few
+  /// gids many times over. Empty entries hold index -1.
+  using Memo = std::array<std::pair<GlobalId, int>, 256>;
 
   void first_finalize(simmpi::Comm& comm);
-  void replay_finalize(simmpi::Comm& comm);
-  void fast_replay_finalize(simmpi::Comm& comm);
-  void build_fast_plan();
-  void begin_fast_round();
-  int owner_of_row(GlobalId row) const;
+  /// Index of `gid` into touched_, then past its end into `extras`: a
+  /// column this rank never touched is appended there (it becomes a
+  /// ghost); without `extras` the gid must have been touched.
+  int index_of(GlobalId gid, Memo& memo, std::vector<GlobalId>* extras);
+  double* matrix_values() { return matrix_->local_mut().values_mut().data(); }
 
-  std::vector<GlobalId> touched_;
-  std::unordered_map<GlobalId, int> touched_owner_;
+  std::vector<GlobalId> touched_;                    // sorted, unique
+  std::vector<int> touched_owner_;                   // owner of touched_[t]
+  std::unordered_map<GlobalId, int> touched_index_;  // gid -> index_of()
   std::optional<GidDirectory> directory_;
 
-  // Pending contributions of the current round.
-  std::vector<GlobalTriplet> mat_pending_;
-  std::vector<GlobalPair> rhs_pending_;
+  // The (row, col) and rhs-row sequences: the first round's as it is
+  // added, then the frozen ones every refill must repeat.
+  std::vector<RowCol> mat_sequence_;
+  std::vector<GlobalId> rhs_sequence_;
+  // Values of a buffered round (the first, and reference-mode refills).
+  std::vector<double> mat_values_;
+  std::vector<double> rhs_values_;
 
   // Frozen structure.
   bool frozen_ = false;
@@ -111,35 +163,12 @@ class DistSystemBuilder {
   std::optional<DistCsrMatrix> matrix_;
   std::optional<DistVector> rhs_;
 
-  // Replay plans (first-round routing, reused verbatim).
-  // For matrix triplets: indices into mat_pending_ destined to each rank.
-  std::vector<std::vector<std::size_t>> mat_route_;
-  std::vector<std::size_t> mat_kept_;          // indices staying local
-  std::vector<std::int64_t> mat_slots_;        // CSR slot per combined triplet
-  std::vector<GlobalTriplet> mat_sequence_;    // first-round sequence (checks)
-  std::vector<std::vector<std::size_t>> rhs_route_;
-  std::vector<std::size_t> rhs_kept_;
-  std::vector<int> rhs_slots_;                 // owned lid per combined pair
-  std::vector<GlobalPair> rhs_sequence_;
-
-  // Fast-replay scatter plan (derived from the frozen routing on the first
-  // kFast round). Per sequence index: either the CSR slot (kept entries) or
-  // the (rank, position) in the persistent routing buffers.
-  bool fast_plan_built_ = false;
-  bool fast_round_ = false;          // current round scatters at add time
-  double* fast_values_ = nullptr;    // CSR values of the current fast round
-  std::size_t mat_fast_pos_ = 0;     // sequence cursor of the current round
-  std::size_t rhs_fast_pos_ = 0;
-  std::int64_t mat_kept_count_ = 0;  // prefix of mat_slots_ that is local
-  std::size_t rhs_kept_count_ = 0;
-  std::vector<std::int64_t> mat_fast_slot_;   // CSR slot, or -1 when routed
-  std::vector<std::int32_t> mat_fast_rank_;
-  std::vector<std::int32_t> mat_fast_off_;    // position within rank block
-  std::vector<std::int32_t> rhs_fast_lid_;    // owned lid, or -1 when routed
-  std::vector<std::int32_t> rhs_fast_rank_;
-  std::vector<std::int32_t> rhs_fast_off_;
-  std::vector<std::vector<double>> mat_route_vals_;  // persistent send blocks
-  std::vector<std::vector<double>> rhs_route_vals_;
+  // Replay plan.
+  Plan mat_plan_;
+  Plan rhs_plan_;
+  bool fast_round_ = false;  // the current round scatters at add time
+  std::size_t mat_pos_ = 0;  // adds so far in the current fast round
+  std::size_t rhs_pos_ = 0;
 };
 
 }  // namespace hetero::la

@@ -1,5 +1,7 @@
 #include "proc/wire.hpp"
 
+#include <algorithm>
+
 #include "support/byte_codec.hpp"
 #include "support/error.hpp"
 #include "support/io_util.hpp"
@@ -35,18 +37,26 @@ bool recv_frame(int fd, Frame* out) {
       static_cast<ssize_t>(sizeof(header))) {
     return false;
   }
-  if (get_u32(header) != kFrameMagic) {
+  const std::uint32_t type = get_u32(header + 4);
+  if (get_u32(header) != kFrameMagic ||
+      type < static_cast<std::uint32_t>(FrameType::kJob) ||
+      type > static_cast<std::uint32_t>(FrameType::kShutdown)) {
     return false;
   }
-  out->type = static_cast<FrameType>(get_u32(header + 4));
+  out->type = static_cast<FrameType>(type);
   out->job_id = get_u64(header + 8);
   out->attempt = get_u32(header + 16);
-  const std::uint32_t len = get_u32(header + 20);
-  out->payload.resize(len);
-  if (len > 0 &&
-      support::read_full(fd, out->payload.data(), len) !=
-          static_cast<ssize_t>(len)) {
-    return false;
+  const std::size_t len = get_u32(header + 20);
+  out->payload.clear();
+  while (out->payload.size() < len) {
+    const std::size_t have = out->payload.size();
+    const std::size_t want =
+        std::min(len - have, std::max(kFrameChunkBytes, have));
+    out->payload.resize(have + want);
+    if (support::read_full(fd, out->payload.data() + have, want) !=
+        static_cast<ssize_t>(want)) {
+      return false;
+    }
   }
   return true;
 }

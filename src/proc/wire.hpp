@@ -36,6 +36,11 @@ enum class FrameType : std::uint32_t {
 /// Bytes of the frame header that precedes the payload.
 inline constexpr std::size_t kFrameHeaderBytes = 4 + 4 + 8 + 4 + 4;
 
+/// recv_frame grows the payload one read at a time, each read at most
+/// max(this, bytes read so far): a corrupt length field cannot make it
+/// allocate more than has arrived plus one read.
+inline constexpr std::size_t kFrameChunkBytes = 64 * 1024;
+
 struct Frame {
   FrameType type = FrameType::kJob;
   std::uint64_t job_id = 0;
@@ -48,7 +53,8 @@ struct Frame {
 bool send_frame(int fd, const Frame& frame);
 
 /// True and fills `out` when a whole frame arrived; false on EOF, a torn
-/// frame (peer died mid-write), or a corrupt header.
+/// frame (peer died mid-write), or a corrupt header (bad magic, a type
+/// outside FrameType, or a length the stream does not deliver).
 bool recv_frame(int fd, Frame* out);
 
 /// Version tag of the experiment encoding; bumped on layout changes so a

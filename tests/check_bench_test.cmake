@@ -218,4 +218,38 @@ expect_fail("svc baseline missing key" "baseline missing key"
   ${WORK_DIR}/svc_min.jsonl --schema svc
   --baseline ${WORK_DIR}/svc_nofield.json)
 
+# --- the perf trajectory (--trajectory) --------------------------------------
+# A BENCH file lists every workload and end-to-end metric of the repository's
+# BENCHMARK.json; every median and quartile is 1.0 except the change's
+# setup_s median. A first file within its parent's bounds passes; a second
+# whose setup_s median is 30% worse than the first's (bound 25%) fails.
+
+function(write_bench path setup)
+  set(workloads "")
+  foreach(workload rd_p27 grid_full svc_restart)
+    set(metrics "")
+    foreach(metric setup_s:s op_p50_ms:ms op_tail_ms:ms ops_per_s:1/s
+                   peak_rss_mb:MB)
+      string(REPLACE ":" ";" metric ${metric})
+      list(GET metric 0 name)
+      list(GET metric 1 unit)
+      set(change 1.0)
+      if(name STREQUAL "setup_s")
+        set(change ${setup})
+      endif()
+      list(APPEND metrics "\"${name}\":{\"unit\":\"${unit}\",\"parent\":{\"median\":1.0,\"q1\":1.0,\"q3\":1.0},\"change\":{\"median\":${change},\"q1\":1.0,\"q3\":1.0}}")
+    endforeach()
+    string(JOIN "," metrics ${metrics})
+    list(APPEND workloads "\"${workload}\":{\"metrics\":{${metrics}}}")
+  endforeach()
+  string(JOIN "," workloads ${workloads})
+  file(WRITE ${path} "{\"workloads\":{${workloads}}}")
+endfunction()
+
+write_bench(${WORK_DIR}/BENCH_1.json 0.9)
+write_bench(${WORK_DIR}/BENCH_2.json 1.17)
+expect_pass("trajectory within bounds" --trajectory ${WORK_DIR}/BENCH_1.json)
+expect_fail("trajectory regressed" "setup_s.*worse than 0.9"
+  --trajectory ${WORK_DIR}/BENCH_1.json ${WORK_DIR}/BENCH_2.json)
+
 message(STATUS "check_bench_test passed")

@@ -3,15 +3,21 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <map>
+#include <span>
 
 #include "la/csr_matrix.hpp"
 #include "la/dist_matrix.hpp"
 #include "la/dist_vector.hpp"
 #include "la/halo.hpp"
+#include "fem/fe_space.hpp"
 #include "la/index_map.hpp"
+#include "la/kernels.hpp"
 #include "la/system_builder.hpp"
+#include "mesh/box_mesh.hpp"
 #include "netsim/fabric.hpp"
 #include "simmpi/runtime.hpp"
 
@@ -33,6 +39,18 @@ std::vector<GlobalId> touched_1d(int rank) {
   }
   return t;
 }
+
+/// Bit patterns of `values`, so comparisons tell -0 from 0 and last bits.
+std::vector<std::uint64_t> bits(std::span<const double> values) {
+  std::vector<std::uint64_t> out;
+  for (const double v : values) {
+    out.push_back(std::bit_cast<std::uint64_t>(v));
+  }
+  return out;
+}
+
+/// Order-sensitive addends: 1e16 + 1 rounds back to 1e16.
+constexpr double kOrderSensitive[] = {1e16, 1.0, -1e16, 0.5, -3.0, 2.0, 7.0};
 
 TEST(GidDirectory, SharedGidsGoToLowestRank) {
   auto rt = make_runtime(3);
@@ -210,6 +228,23 @@ TEST(CsrMatrix, FromTripletsMergesDuplicates) {
   EXPECT_DOUBLE_EQ(m.at(1, 1), 5.0);
   EXPECT_DOUBLE_EQ(m.at(1, 0), 0.0);
   EXPECT_EQ(m.slot(1, 0), -1);
+}
+
+// 25 duplicates per slot, enough for a sort to partition them: each slot
+// must be the plain left-to-right sum of its duplicates.
+TEST(CsrMatrix, FromTripletsSumsDuplicatesInInputOrder) {
+  std::vector<Triplet> t;
+  std::vector<double> expect(4, 0.0);
+  for (int i = 0; i < 100; ++i) {
+    const int row = (i / 3) % 2;
+    const int col = i % 2;
+    const double v = kOrderSensitive[i % 7];
+    t.push_back({row, col, v});
+    expect[static_cast<std::size_t>(2 * row + col)] += v;
+  }
+  const auto m = CsrMatrix::from_triplets(2, 2, t);
+  ASSERT_EQ(m.nonzeros(), 4);
+  EXPECT_EQ(bits(m.values()), bits(expect));
 }
 
 TEST(CsrMatrix, MultiplyKnownValues) {
@@ -414,6 +449,76 @@ TEST(DistSystemBuilder, DeterministicAcrossIdenticalRuns) {
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_DOUBLE_EQ(a[i], b[i]);
   }
+}
+
+// Rank r touches gids 3r..3r+5 and rank r-1 owns the first three, so
+// every slot of a shared row sums 20 order-sensitive duplicates, half kept
+// by the owner and half routed to it. The first finalize must add them in
+// the order every refill does, so its values equal a refill's bit for bit.
+TEST(DistSystemBuilder, FirstFinalizeEqualsRefillBitwise) {
+  const KernelMode saved = kernel_mode();
+  for (const KernelMode mode : {KernelMode::kReference, KernelMode::kFast}) {
+    set_kernel_mode(mode);
+    auto rt = make_runtime(4);
+    rt.run([&](simmpi::Comm& comm) {
+      const int me = comm.rank();
+      std::vector<GlobalId> touched;
+      for (GlobalId g = 3 * me; g < 3 * me + 6; ++g) {
+        touched.push_back(g);
+      }
+      DistSystemBuilder builder(comm, touched);
+      auto assemble = [&] {
+        builder.begin_assembly();
+        int i = me;
+        for (int rep = 0; rep < 10; ++rep) {
+          for (const GlobalId row : touched) {
+            for (const GlobalId col : touched) {
+              builder.add_matrix(row, col, kOrderSensitive[i++ % 7]);
+            }
+            builder.add_rhs(row, kOrderSensitive[i++ % 7]);
+          }
+        }
+        builder.finalize(comm);
+      };
+      assemble();
+      const auto first_matrix = bits(builder.matrix().local().values());
+      const auto first_rhs = bits(builder.rhs().owned());
+      assemble();
+      EXPECT_EQ(bits(builder.matrix().local().values()), first_matrix);
+      EXPECT_EQ(bits(builder.rhs().owned()), first_rhs);
+    });
+  }
+  set_kernel_mode(saved);
+}
+
+// The frozen plan of an RD P2 system on 8 ranks (6 cells per rank axis,
+// as rd_p27 runs): the (row, col) sequence and 32-bit destinations and
+// receive slots, at most 24 bytes per matrix contribution.
+TEST(DistSystemBuilder, ReplayPlanStaysCompact) {
+  auto rt = make_runtime(8);
+  rt.run([&](simmpi::Comm& comm) {
+    const mesh::BoxMeshSpec spec{12, 12, 12};
+    const mesh::BlockDecomposition blocks(spec, comm.size());
+    const auto submesh =
+        mesh::build_box_submesh(spec, blocks.box(comm.rank()));
+    const fem::FeSpace space(submesh, 2, spec.vertex_count());
+    DistSystemBuilder builder(comm, space.dof_gids());
+    EXPECT_EQ(builder.plan_bytes(), 0u);
+    const auto n = static_cast<std::size_t>(space.dofs_per_tet());
+    std::vector<GlobalId> gids(n);
+    const std::vector<double> block(n * n, 1.0);
+    const std::vector<double> load(n, 1.0);
+    builder.begin_assembly();
+    for (std::size_t t = 0; t < submesh.tet_count(); ++t) {
+      space.tet_dof_gids(t, gids);
+      builder.add_dense_block(gids, gids, block);
+      builder.add_rhs_block(gids, load);
+    }
+    builder.finalize(comm);
+    const auto contributions = submesh.tet_count() * n * n;
+    EXPECT_GT(builder.plan_bytes(), 16 * contributions);
+    EXPECT_LE(builder.plan_bytes(), 24 * contributions);
+  });
 }
 
 TEST(DistSystemBuilder, RefillWithChangedStructureThrows) {

@@ -24,6 +24,7 @@
 #include "proc/supervisor.hpp"
 #include "proc/wire.hpp"
 #include "prop_util.hpp"
+#include "support/byte_codec.hpp"
 #include "support/error.hpp"
 #include "support/record_log.hpp"
 #include "svc/result_codec.hpp"
@@ -325,6 +326,61 @@ TEST(Wire, ExperimentCodecSurvivesSeededMutants) {
   EXPECT_EQ(tally.foreign, 0);
   EXPECT_GT(tally.rejected, 0);
   EXPECT_GT(tally.decoded, 0);
+}
+
+// 20,000 seeded mutants of a real job frame, each read back through a
+// pipe: recv_frame either rejects it or delivers a known type with exactly
+// the header's length of payload. It never throws, and never allocates for
+// payload bytes that did not arrive (a lying length field used to
+// zero-fill up to 4 GiB before the read failed).
+TEST(Wire, FrameHeaderSurvivesSeededMutants) {
+  Frame job;
+  job.type = FrameType::kJob;
+  job.job_id = 0x0123456789abcdefULL;
+  job.attempt = 2;
+  job.payload = encode_experiment(test::every_field_experiment());
+  int fds[2];
+  ASSERT_EQ(::pipe(fds), 0);
+  ASSERT_TRUE(send_frame(fds[1], job));
+  ::close(fds[1]);
+  std::string frame(kFrameHeaderBytes + job.payload.size() + 1, '\0');
+  ASSERT_EQ(::read(fds[0], frame.data(), frame.size()),
+            static_cast<ssize_t>(frame.size() - 1));
+  frame.pop_back();
+  ::close(fds[0]);
+
+  test::PropRng rng(0xf4a3e5);
+  int accepted = 0;
+  int rejected = 0;
+  int foreign = 0;
+  for (int i = 0; i < 20000; ++i) {
+    const std::string mutant = test::mutate(rng, frame);
+    ASSERT_EQ(::pipe(fds), 0);
+    ASSERT_EQ(::write(fds[1], mutant.data(), mutant.size()),
+              static_cast<ssize_t>(mutant.size()));
+    ::close(fds[1]);
+    Frame got;
+    try {
+      if (recv_frame(fds[0], &got)) {
+        ++accepted;
+        EXPECT_TRUE(got.type == FrameType::kJob ||
+                    got.type == FrameType::kDone ||
+                    got.type == FrameType::kFail ||
+                    got.type == FrameType::kShutdown);
+        const std::size_t len = support::get_u32(mutant.data() + 20);
+        EXPECT_EQ(got.payload, mutant.substr(kFrameHeaderBytes, len));
+      } else {
+        ++rejected;
+      }
+    } catch (...) {
+      ++foreign;
+    }
+    EXPECT_LE(got.payload.capacity(), mutant.size() + kFrameChunkBytes);
+    ::close(fds[0]);
+  }
+  EXPECT_EQ(foreign, 0);
+  EXPECT_GT(accepted, 0);
+  EXPECT_GT(rejected, 0);
 }
 
 // --- record log under fork-level contention ----------------------------

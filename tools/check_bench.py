@@ -17,6 +17,16 @@ gate survives machine-to-machine variance (see docs/kernels.md).
 Usage:
     tools/check_bench.py --baseline bench/baselines/fig4.json RESULTS.jsonl
     tools/check_bench.py --schema svc ANSWERS.jsonl
+    tools/check_bench.py --trajectory BENCH_21.json BENCH_25.json ...
+
+`--trajectory` checks the committed perf trajectory: BENCH_<pr>.json files
+at the repository root, given oldest first. Each holds perfbench's
+end-to-end metrics per workload as {"unit", "parent", "change"}, each side
+a {"median", "q1", "q3"} over alternating parent/change runs. Every file
+must list every workload and end-to-end metric of BENCHMARK.json, with its
+unit. A change median worse than the previous file's change median by more
+than the metric's relative bound fails; the first file is held to its own
+parent median instead.
 
 `--schema svc` validates a heterolab-svc-v1 response stream instead (the
 advisory daemon's stdout): schema tag and known record type on every line,
@@ -87,9 +97,14 @@ Exit status: 0 when everything holds, 1 with a FAIL line per violation.
 
 import argparse
 import json
+import os
 import sys
 
 SCHEMA = "heterolab-bench-v1"
+
+# The benchmark contract --trajectory holds BENCH files to.
+BENCHMARK = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..",
+                         "BENCHMARK.json")
 SVC_SCHEMA = "heterolab-svc-v1"
 
 # Required keys per svc record type, beyond the universal schema/type/id.
@@ -693,10 +708,65 @@ def compare_grid_reports(pairs, against_pairs, expect_drift):
     return failures
 
 
+def check_trajectory(paths, benchmark_path):
+    """Failures of a BENCH_<pr>.json sequence (oldest first) against the
+    workloads, end-to-end metrics and bounds of BENCHMARK.json."""
+    with open(benchmark_path, "r", encoding="utf-8") as handle:
+        spec = json.load(handle)
+    workloads = [w["name"] for w in spec["workloads"]]
+    failures = []
+    previous = None  # (path, file) of the last readable file
+    for path in paths:
+        try:
+            with open(path, "r", encoding="utf-8") as handle:
+                bench = json.load(handle)
+        except (OSError, ValueError) as err:
+            failures.append(f"{path}: unreadable: {err}")
+            continue
+        for workload in workloads:
+            rows = bench.get("workloads", {}).get(workload, {})
+            rows = rows.get("metrics", {}) if isinstance(rows, dict) else {}
+            for metric in spec["end_to_end"]:
+                name = metric["name"]
+                where = f"{path}: {workload} {name}"
+                row = rows.get(name)
+                try:
+                    if row["unit"] != metric["unit"]:
+                        failures.append(f"{where}: unit {row['unit']!r}, "
+                                        f"BENCHMARK.json has "
+                                        f"{metric['unit']!r}")
+                    sides = {side: [float(row[side][q])
+                                    for q in ("q1", "median", "q3")]
+                             for side in ("parent", "change")}
+                    if previous:
+                        against = previous[0]
+                        base = float(previous[1]["workloads"][workload]
+                                     ["metrics"][name]["change"]["median"])
+                    else:
+                        against, base = "its parent", sides["parent"][1]
+                except (KeyError, TypeError, ValueError):
+                    failures.append(f"{where}: missing, or without unit "
+                                    "and parent/change median, q1 and q3")
+                    continue
+                change = sides["change"][1]
+                bound = float(metric["bound"])
+                worse = (change > base * (1 + bound)
+                         if metric["better"] == "lower"
+                         else change < base * (1 - bound))
+                if worse:
+                    failures.append(
+                        f"{where}: change median {change:g} {metric['unit']} "
+                        f"is worse than {base:g} ({against}) by more than "
+                        f"{bound:.0%}")
+        previous = (path, bench)
+    return failures
+
+
 def main():
     parser = argparse.ArgumentParser(
         description="Check bench JSONL output against a baseline.")
-    parser.add_argument("results", help="JSONL written by a bench's --json")
+    parser.add_argument("results", nargs="?",
+                        help="JSONL written by a bench's --json")
     parser.add_argument("--baseline",
                         help="baseline JSON from bench/baselines/ "
                              "(required with --schema bench)")
@@ -717,7 +787,22 @@ def main():
                         help="(grid --against only) additionally require "
                              "every stochastic cell launched in both "
                              "reports to differ (seed-perturbation gate)")
+    parser.add_argument("--trajectory", nargs="+", metavar="BENCH.json",
+                        help="check committed BENCH_<pr>.json files, oldest "
+                             "first, against BENCHMARK.json's bounds")
     args = parser.parse_args()
+
+    if args.trajectory:
+        failures = check_trajectory(args.trajectory, BENCHMARK)
+        for failure in failures:
+            print(f"FAIL [trajectory]: {failure}", file=sys.stderr)
+        if failures:
+            return 1
+        print(f"PASS [trajectory]: {len(args.trajectory)} file(s) within "
+              "BENCHMARK.json's bounds")
+        return 0
+    if not args.results:
+        parser.error("RESULTS is required unless --trajectory is given")
 
     if args.schema != "grid" and (args.against
                                   or args.expect_stochastic_drift):

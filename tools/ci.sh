@@ -6,8 +6,10 @@
 #   release  Release + -Werror: full ctest, broker smoke, the four
 #            paper-figure benches against bench/baselines/ and fig4
 #            --jobs 8 == --jobs 1, bench_kernels against kernels.json,
-#            bench_svc_throughput against svc.json, and a 5 s perfbench
-#            smoke of each workload (correctness gates only)
+#            bench_svc_throughput against svc.json, the committed
+#            BENCH_<pr>.json trajectory against BENCHMARK.json's bounds,
+#            and a 5 s perfbench smoke of each workload (correctness
+#            gates only)
 #   debug    Debug + -Werror: full ctest
 #   asan     RelWithDebInfo + ASan/UBSan: full ctest, then the fault,
 #            svc, rebroker, loadbalance, proc and grid gates on that build
@@ -125,6 +127,16 @@ gate_kernels() {
 # Warm-restart throughput of the advisory daemon; timing needs Release.
 gate_svc_throughput() {
   bench_vs_baseline svc_throughput svc
+}
+
+# The committed perf trajectory, BENCH_<pr>.json at the root in PR order:
+# every file lists every workload and end-to-end metric of BENCHMARK.json,
+# and no change median is worse than the one before it by more than the
+# metric's bound. Reads committed files only and times nothing.
+gate_trajectory() {
+  # shellcheck disable=SC2046
+  python3 tools/check_bench.py --trajectory \
+      $(ls BENCH_*.json | sort -t_ -k2 -n)
 }
 
 # perfbench builds its own tree under $BUILD/perfbench and runs each
@@ -247,6 +259,7 @@ leg_release() {
   run_gate gate_paper_benches
   run_gate gate_kernels
   run_gate gate_svc_throughput
+  run_gate gate_trajectory
   run_gate gate_perfbench
 }
 
