@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -42,18 +43,16 @@ std::vector<Instance> Ec2Service::advance(double seconds) {
       obs::trace_instant("reclaim_storm", "resil",
                          static_cast<double>(h) * 3600.0);
     }
-    for (std::size_t i = 0; i < fleet_.size();) {
-      const Instance& inst = fleet_[i];
-      if (inst.spot &&
-          (storm ||
-           inst.bid_usd < market_.price(instance_type(inst.type), h))) {
+    std::erase_if(fleet_, [&](const Instance& inst) {
+      const bool lost =
+          inst.spot &&
+          (storm || inst.bid_usd < market_.price(instance_type(inst.type), h));
+      if (lost) {
         reclaimed.push_back(inst);
         close_charge(inst.id);
-        fleet_.erase(fleet_.begin() + static_cast<std::ptrdiff_t>(i));
-      } else {
-        ++i;
       }
-    }
+      return lost;
+    });
   }
   if (!reclaimed.empty()) {
     // The unpredictability the paper warns about: surface it on the trace
@@ -62,18 +61,42 @@ std::vector<Instance> Ec2Service::advance(double seconds) {
     obs::trace_instant("spot_reclaim", "cloud", clock_s_, "instances",
                        static_cast<double>(reclaimed.size()));
   }
-  cloud_metrics().billed_usd.set(billed_usd());
+  cloud_metrics().billed_usd.set(current_bill());
   return reclaimed;
 }
 
 void Ec2Service::close_charge(int instance_id) {
-  for (auto& charge : charges_) {
-    if (charge.instance_id == instance_id && charge.end_s < 0.0) {
-      charge.end_s = clock_s_;
-      return;
+  const auto it =
+      std::ranges::lower_bound(charges_, instance_id, {}, &Charge::instance_id);
+  if (it == charges_.end() || it->instance_id != instance_id ||
+      it->end_s >= 0.0) {
+    throw Error("no open charge for instance " + std::to_string(instance_id));
+  }
+  it->end_s = clock_s_;
+  bill_fresh_until_s_ = -1.0;
+}
+
+double Ec2Service::current_bill() {
+  if (clock_s_ <= bill_fresh_until_s_) {
+    return bill_;
+  }
+  bill_ = billed_usd();
+  // An open charge that bills n hours keeps billing n while the clock is
+  // at most start + 3600 n in exact arithmetic: (clock - start) / 3600
+  // rounds monotonically and 3600 n is exact, so it stays at most n. The
+  // double below the rounded sum is never above that exact bound.
+  bill_fresh_until_s_ = std::numeric_limits<double>::infinity();
+  for (const auto& charge : charges_) {
+    if (charge.end_s < 0.0) {
+      const double hours = std::max(0.0, clock_s_ - charge.start_s) / 3600.0;
+      const double until =
+          charge.start_s + 3600.0 * std::ceil(std::max(hours, 1e-9));
+      bill_fresh_until_s_ = std::min(
+          bill_fresh_until_s_,
+          std::nextafter(until, -std::numeric_limits<double>::infinity()));
     }
   }
-  throw Error("no open charge for instance " + std::to_string(instance_id));
+  return bill_;
 }
 
 int Ec2Service::create_placement_group(const std::string& name) {
@@ -94,6 +117,7 @@ Instance Ec2Service::make_instance(const InstanceType& type, bool spot,
   inst.private_ip = "10.0." + std::to_string(inst.id / 256) + "." +
                     std::to_string(inst.id % 256);
   charges_.push_back({inst.id, price, clock_s_, -1.0});
+  bill_fresh_until_s_ = -1.0;
   cloud_metrics().instances_launched.increment();
   return inst;
 }
@@ -147,15 +171,24 @@ Launch Ec2Service::request_spot(const std::string& type_name, int count,
 }
 
 void Ec2Service::terminate(const std::vector<Instance>& instances) {
+  std::vector<int> ids;
+  ids.reserve(instances.size());
   for (const auto& inst : instances) {
-    const auto it = std::find_if(
-        fleet_.begin(), fleet_.end(),
-        [&](const Instance& f) { return f.id == inst.id; });
-    HETERO_REQUIRE(it != fleet_.end(),
-                   "terminating an instance that is not running");
-    close_charge(it->id);
-    fleet_.erase(it);
+    ids.push_back(inst.id);
   }
+  std::ranges::sort(ids);
+  const auto running = [&](int id) {
+    return std::ranges::binary_search(fleet_, id, {}, &Instance::id);
+  };
+  HETERO_REQUIRE(std::ranges::adjacent_find(ids) == ids.end() &&
+                     std::ranges::all_of(ids, running),
+                 "terminating an instance that is not running");
+  for (const int id : ids) {
+    close_charge(id);
+  }
+  std::erase_if(fleet_, [&](const Instance& inst) {
+    return std::ranges::binary_search(ids, inst.id);
+  });
 }
 
 double Ec2Service::billed_usd() const {

@@ -76,6 +76,8 @@ class Ec2Service {
   Launch request_spot(const std::string& type_name, int count, double bid,
                       const std::vector<int>& groups);
 
+  /// Stops the instances and their billing. Throws, terminating none of
+  /// them, when one is not running or is listed twice.
   void terminate(const std::vector<Instance>& instances);
 
   /// Amazon-style billing: every started instance-hour is charged in full.
@@ -108,6 +110,8 @@ class Ec2Service {
   Instance make_instance(const InstanceType& type, bool spot, double price,
                          double bid, int group);
   void close_charge(int instance_id);
+  /// billed_usd() as of now, re-summed only when it can have changed.
+  double current_bill();
 
   std::uint64_t seed_;
   Rng rng_;
@@ -117,8 +121,14 @@ class Ec2Service {
   int next_instance_id_ = 1;
   int next_group_id_ = 0;
   bool intranet_tcp_open_ = false;
+  /// Both sorted by instance id: ids are issued in increasing order.
   std::vector<Instance> fleet_;
   std::vector<Charge> charges_;
+  /// billed_usd() at the last re-sum, which holds while the clock is at
+  /// most bill_fresh_until_s_: until a charge opens or closes, or an open
+  /// charge starts its next whole hour.
+  double bill_ = 0.0;
+  double bill_fresh_until_s_ = -1.0;
 };
 
 }  // namespace hetero::cloud

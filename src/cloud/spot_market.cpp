@@ -28,22 +28,31 @@ std::uint64_t type_hash(const InstanceType& type) {
 
 SpotMarket::SpotMarket(std::uint64_t seed) : seed_(seed) {}
 
-Rng SpotMarket::stream(const InstanceType& type, std::int64_t hour,
+std::uint64_t SpotMarket::type_seed(const InstanceType& type) const {
+  return mix(seed_, type_hash(type));
+}
+
+Rng SpotMarket::stream(std::uint64_t type_seed, std::int64_t hour,
                        std::uint64_t salt) const {
-  return Rng(mix(mix(seed_, type_hash(type)),
-                 mix(static_cast<std::uint64_t>(hour), salt)));
+  return Rng(mix(type_seed, mix(static_cast<std::uint64_t>(hour), salt)));
 }
 
 double SpotMarket::price(const InstanceType& type, std::int64_t hour) {
   HETERO_REQUIRE(type.typical_spot_hourly_usd > 0.0,
                  "instance type has no spot market: " + type.name);
+  if (last_.usd >= 0.0 && last_.hour == hour && last_.type == type.name &&
+      last_.on_demand_usd == type.on_demand_hourly_usd &&
+      last_.typical_usd == type.typical_spot_hourly_usd) {
+    return last_.usd;
+  }
   // Log-AR(1): iterate a short window ending at `hour` so nearby hours are
   // correlated yet any hour is computable without global state.
   const double target = std::log(type.typical_spot_hourly_usd);
+  const std::uint64_t seed = type_seed(type);
   double lp = target;
   constexpr int kWindow = 24;
   for (std::int64_t h = hour - kWindow; h <= hour; ++h) {
-    Rng rng = stream(type, h, 0xA11CE);
+    Rng rng = stream(seed, h, 0xA11CE);
     lp = 0.80 * lp + 0.20 * target + 0.12 * rng.normal();
     // Demand spikes: with small probability the price jumps above the
     // on-demand rate (documented spot behaviour of the era).
@@ -51,11 +60,13 @@ double SpotMarket::price(const InstanceType& type, std::int64_t hour) {
       lp = std::log(type.on_demand_hourly_usd * rng.uniform(1.05, 1.8));
     }
   }
-  return std::exp(lp);
+  last_ = {type.name, type.on_demand_hourly_usd, type.typical_spot_hourly_usd,
+           hour, std::exp(lp)};
+  return last_.usd;
 }
 
 int SpotMarket::capacity(const InstanceType& type, std::int64_t hour) {
-  Rng rng = stream(type, hour, 0xCAFE);
+  Rng rng = stream(type_seed(type), hour, 0xCAFE);
   if (type.cluster_compute) {
     // Scarce HPC capacity: typically 15..45 spare cc instances.
     return static_cast<int>(rng.uniform_int(15, 45));

@@ -9,6 +9,7 @@
 /// those behaviours deterministically from a seed.
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "cloud/instance_types.hpp"
@@ -22,7 +23,9 @@ class SpotMarket {
 
   /// Spot price (USD/hour) of `type` during hour `hour` since epoch.
   /// Mean-reverting log-AR(1) around the type's typical spot price, with
-  /// occasional demand spikes that can exceed the on-demand price.
+  /// occasional demand spikes that can exceed the on-demand price. The
+  /// last answer is kept: a fleet asks for one hour's price once per spot
+  /// instance, and a spot request asks twice (fulfill, then launch).
   double price(const InstanceType& type, std::int64_t hour);
 
   /// Spare capacity (instances) the market can start during `hour`.
@@ -35,11 +38,23 @@ class SpotMarket {
               std::int64_t hour);
 
  private:
-  /// Deterministic per-(type, hour) stream.
-  Rng stream(const InstanceType& type, std::int64_t hour,
+  /// The market seed mixed with the type's name.
+  std::uint64_t type_seed(const InstanceType& type) const;
+  /// Deterministic per-(type, hour) stream, from the type's type_seed().
+  Rng stream(std::uint64_t type_seed, std::int64_t hour,
              std::uint64_t salt) const;
 
+  /// The last price() answer, keyed by every input it depends on.
+  struct Quote {
+    std::string type;
+    double on_demand_usd = 0.0;
+    double typical_usd = 0.0;
+    std::int64_t hour = 0;
+    double usd = -1.0;  // < 0: nothing priced yet
+  };
+
   std::uint64_t seed_;
+  Quote last_;
 };
 
 }  // namespace hetero::cloud

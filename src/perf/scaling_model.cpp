@@ -114,30 +114,27 @@ void average_neighbour_split(int ranks, int ranks_per_node, double* on_node,
     *off_node = total - on;
     return;
   }
-  // Exact enumeration over the k^3 grid, ranks packed x-fastest and
-  // assigned to nodes in consecutive blocks of ranks_per_node.
-  const int offsets[3] = {1, k, k * k};
+  // Exact count over the k^3 grid, ranks packed x-fastest and assigned to
+  // nodes in consecutive blocks of m = ranks_per_node. Ranks r and
+  // r + stride share a node iff r mod m < m - stride, and the ranks with a
+  // neighbour at +stride form runs of (k - 1) * stride consecutive ranks,
+  // one run every k * stride ranks. Each pair counts once per direction.
+  const std::int64_t m = ranks_per_node;
   std::int64_t on = 0;
-  std::int64_t total = 0;
-  for (int z = 0; z < k; ++z) {
-    for (int y = 0; y < k; ++y) {
-      for (int x = 0; x < k; ++x) {
-        const int r = x + k * (y + k * z);
-        const int coords[3] = {x, y, z};
-        for (int axis = 0; axis < 3; ++axis) {
-          for (int dir = -1; dir <= 1; dir += 2) {
-            const int c = coords[axis] + dir;
-            if (c < 0 || c >= k) {
-              continue;
-            }
-            const int nbr = r + dir * offsets[axis];
-            ++total;
-            on += (r / ranks_per_node) == (nbr / ranks_per_node);
-          }
-        }
-      }
+  for (std::int64_t stride = 1; stride < ranks; stride *= k) {
+    const std::int64_t below = m - stride;
+    if (below <= 0) {
+      continue;
+    }
+    // Ranks in [0, n) with r mod m < below.
+    const auto count = [&](std::int64_t n) {
+      return n / m * below + std::min(n % m, below);
+    };
+    for (std::int64_t run = 0; run < ranks; run += k * stride) {
+      on += 2 * (count(run + (k - 1) * stride) - count(run));
     }
   }
+  const std::int64_t total = 6 * std::int64_t{k} * k * (k - 1);
   const double per_rank_total =
       static_cast<double>(total) / static_cast<double>(ranks);
   const double per_rank_on =

@@ -72,10 +72,10 @@ int typical_neighbours(int ranks);
 
 /// Average on-node / off-node split of face-neighbour pairs over all ranks
 /// of the cubic decomposition, with `ranks_per_node` consecutive ranks
-/// packed per node. Exact enumeration (cheap at p <= 1000): misalignment of
-/// the rank grid with the node width produces the size-dependent wiggles
-/// the paper observed on EC2 ("certain sizes where the performance
-/// significantly deteriorates").
+/// packed per node. Exact, counted per axis in O(p^(2/3)) integer work:
+/// misalignment of the rank grid with the node width produces the
+/// size-dependent wiggles the paper observed on EC2 ("certain sizes where
+/// the performance significantly deteriorates").
 void average_neighbour_split(int ranks, int ranks_per_node, double* on_node,
                              double* off_node);
 

@@ -3,10 +3,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <iterator>
+#include <vector>
+
 #include "cloud/ec2_service.hpp"
 #include "cloud/instance_types.hpp"
 #include "cloud/spot_market.hpp"
 #include "cloud/staging.hpp"
+#include "obs/metrics.hpp"
 #include "support/error.hpp"
 #include "support/stats.hpp"
 
@@ -90,6 +97,27 @@ TEST(SpotMarket, FulfillRespectsBidAndCapacity) {
   EXPECT_THROW(market.fulfill(cc2, 1.0, -1, 0), Error);
 }
 
+TEST(SpotMarket, RepeatedPricesEqualAFreshMarketsBitwise) {
+  // price() keeps its last answer; whatever was asked before, every answer
+  // must be the one a market that never priced anything gives.
+  SpotMarket market(11);
+  const auto& cc2 = instance_type("cc2.8xlarge");
+  const auto& cg1 = instance_type("cg1.4xlarge");
+  InstanceType cheaper = cc2;  // same name, other rates
+  cheaper.typical_spot_hourly_usd = 0.27;
+  const InstanceType* types[] = {&cc2, &cc2, &cg1, &cc2, &cheaper};
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  for (const std::int64_t h : {3, 3, 4, 3, 900, 4, 4, 0}) {
+    for (const InstanceType* type : types) {
+      EXPECT_EQ(bits(market.price(*type, h)),
+                bits(SpotMarket(11).price(*type, h)))
+          << type->name << " " << type->typical_spot_hourly_usd << " h=" << h;
+    }
+    market.fulfill(cg1, 1.0, 3, h + 1);
+  }
+  EXPECT_NE(market.price(cc2, 3), market.price(cheaper, 3));
+}
+
 TEST(Ec2Service, OnDemandAlwaysDeliversTheCount) {
   Ec2Service service(1);
   const int group = service.create_placement_group("hpc");
@@ -155,6 +183,66 @@ TEST(Ec2Service, WholeHourBilling) {
   EXPECT_NEAR(service.billed_usd(), 2 * 2.40, 1e-9);
   EXPECT_TRUE(service.fleet().empty());
   EXPECT_THROW(service.terminate(launch.instances), Error);
+}
+
+TEST(Ec2Service, TerminateTakesAnyOrderButNoStrangerOrDuplicate) {
+  Ec2Service service(1);
+  const auto a = service.request_on_demand("cc2.8xlarge", 3).instances;
+  const auto b = service.request_on_demand("m1.small", 2).instances;
+  // A duplicate or an instance that is not running terminates nothing.
+  EXPECT_THROW(service.terminate({b[0], a[1], b[0]}), Error);
+  EXPECT_EQ(service.fleet().size(), 5u);
+  service.terminate({b[1], a[0], a[2]});
+  ASSERT_EQ(service.fleet().size(), 2u);
+  EXPECT_EQ(service.fleet()[0].id, a[1].id);
+  EXPECT_EQ(service.fleet()[1].id, b[0].id);
+  EXPECT_THROW(service.terminate({a[1], a[0]}), Error);
+  EXPECT_EQ(service.fleet().size(), 2u);
+  service.advance(5400.0);
+  // Three 1-hour charges stopped at t = 0, two 2-hour charges still open.
+  EXPECT_NEAR(service.billed_usd(), 2 * 2.40 + 0.08 + 2 * (2.40 + 0.08),
+              1e-9);
+}
+
+TEST(Ec2Service, BilledGaugeEqualsTheBillAfterEveryAdvance) {
+  // A spot fleet bid near the market loses hosts to reclaims and is
+  // refilled at other offsets into the hour, so its charges start their
+  // billed hours at different times; an on-demand pair is terminated
+  // mid-hour. advance() re-sums the bill only when it can have changed,
+  // yet the gauge must read billed_usd() exactly after every call.
+  Ec2Service service(5);
+  const int g = service.create_placement_group("x");
+  const obs::Gauge& gauge = obs::metrics().gauge("cloud.billed_usd");
+  service.request_spot("cc2.8xlarge", 2, 0.80, {g});
+  const double bids[] = {0.47, 0.52, 0.58};
+  const auto on_demand = service.request_on_demand("cc2.8xlarge", 2);
+  const double steps[] = {1.0, 599.5, 2999.5, 0.0, 1e-9, 1800.0, 2400.0,
+                          7.25};
+  int reclaims = 0;
+  int refills = 0;
+  for (int i = 0; i < 400; ++i) {
+    reclaims += !service.advance(steps[i % std::size(steps)]).empty();
+    ASSERT_EQ(gauge.value(), service.billed_usd()) << "advance " << i;
+    if (i == 150) {
+      service.terminate(on_demand.instances);
+    }
+    const int spot = static_cast<int>(std::count_if(
+        service.fleet().begin(), service.fleet().end(),
+        [](const Instance& inst) { return inst.spot; }));
+    if (spot < 6 && i % 3 == 0) {
+      refills += !service
+                      .request_spot("cc2.8xlarge", 6 - spot,
+                                    bids[i / 3 % std::size(bids)], {g})
+                      .instances.empty();
+    }
+  }
+  EXPECT_GT(reclaims, 3) << refills;
+  EXPECT_GT(refills, 3) << reclaims;
+  const std::vector<Instance> rest = service.fleet();
+  service.terminate(rest);
+  service.advance(3600.0);
+  EXPECT_EQ(gauge.value(), service.billed_usd());
+  EXPECT_TRUE(service.fleet().empty());
 }
 
 TEST(Ec2Service, SecurityGroupGotchaBlocksMpi) {

@@ -106,6 +106,42 @@ TEST(WorkModel, NeighbourSplitExactCases) {
   EXPECT_NE(off8 / (on8 + off8), off9 / (on9 + off9));
 }
 
+TEST(WorkModel, NeighbourSplitEqualsTheEnumeration) {
+  // Brute force over every face-neighbour pair of the k^3 grid (ranks
+  // x-fastest, nodes of consecutive ranks): the counted split must give
+  // the same quotients bit for bit.
+  for (int k = 2; k <= 10; ++k) {
+    const int ranks = k * k * k;
+    const int offsets[3] = {1, k, k * k};
+    for (int per_node = 1; per_node <= 64; ++per_node) {
+      std::int64_t on = 0;
+      std::int64_t total = 0;
+      for (int r = 0; r < ranks; ++r) {
+        const int coords[3] = {r % k, r / k % k, r / (k * k)};
+        for (int axis = 0; axis < 3; ++axis) {
+          for (const int dir : {-1, 1}) {
+            const int c = coords[axis] + dir;
+            if (c < 0 || c >= k) {
+              continue;
+            }
+            ++total;
+            on += r / per_node == (r + dir * offsets[axis]) / per_node;
+          }
+        }
+      }
+      const double want_on =
+          static_cast<double>(on) / static_cast<double>(ranks);
+      const double want_off =
+          static_cast<double>(total) / static_cast<double>(ranks) - want_on;
+      double got_on = -1.0;
+      double got_off = -1.0;
+      average_neighbour_split(ranks, per_node, &got_on, &got_off);
+      EXPECT_EQ(got_on, want_on) << "k=" << k << " per_node=" << per_node;
+      EXPECT_EQ(got_off, want_off) << "k=" << k << " per_node=" << per_node;
+    }
+  }
+}
+
 TEST(WorkModel, HaloTrafficMatchesTheDirectRun) {
   // The model's per-exchange halo volume must agree with the bytes the real
   // halo plan moves: measured import size vs modeled halo dofs, same size.
